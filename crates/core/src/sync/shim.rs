@@ -685,11 +685,17 @@ pub mod mpsc {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            {
+            // Take the queue out under the lock and drop it after the
+            // lock is released: a queued value's own `Drop` may send
+            // (a job answering its completion sink), and a send is a
+            // yield point that must not run while this channel's mutex
+            // is held.
+            let orphans = {
                 let mut inner = self.0.lock();
                 inner.receiver_alive = false;
-                inner.queue.clear();
-            }
+                std::mem::take(&mut inner.queue)
+            };
+            drop(orphans);
             self.0.notify();
             exec::yield_point(op::CHAN_CLOSED, self.0.id, 1);
         }
