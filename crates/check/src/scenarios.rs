@@ -253,7 +253,6 @@ pub fn rebalance_no_loss_no_dup() {
             rebalance: true,
             rebalance_interval: 2,
             rebalance_ratio: 1.5,
-            adaptive_linger: false,
             fusion: false,
             ..AdaptiveConfig::default()
         },

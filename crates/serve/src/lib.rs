@@ -15,11 +15,10 @@
 //!   cycle, while `N` workers each own independent backend splits
 //!   ([`magnon_core::backend::SpinWaveBackend::split`]);
 //! * **load-adaptive policies** ([`AdaptiveConfig`], fed by the
-//!   lock-free [`telemetry`] counters) — per-worker linger windows that
-//!   shrink under light load and stretch under bursts, a placement
-//!   table that moves co-tenant waveguides off hot shards, and fusion
-//!   of design-compatible requests across *different* waveguides into
-//!   one batch when drains run deep;
+//!   lock-free [`telemetry`] counters) — a placement table that moves
+//!   co-tenant waveguides off hot shards, and fusion of
+//!   design-compatible requests across *different* waveguides into one
+//!   batch when drains run deep;
 //! * [`ScheduledBank`] — plugs the scheduler into circuit evaluation
 //!   ([`magnon_circuits::netlist::GateDispatcher`]), so adders, ALUs
 //!   and parity trees ride the same coalescing;
@@ -435,24 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn inverted_adaptive_linger_bounds_are_rejected_at_build() {
-        let gate = byte_majority();
-        let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
-            adaptive: AdaptiveConfig {
-                min_linger: Duration::from_millis(5),
-                max_linger: Duration::from_micros(5),
-                ..AdaptiveConfig::default()
-            },
-            ..quick_config(1)
-        });
-        builder
-            .register("maj3", gate, BackendChoice::Analytic)
-            .unwrap();
-        assert!(matches!(builder.build(), Err(ServeError::Config { .. })));
-    }
-
-    #[test]
     fn static_placement_spreads_even_waveguide_ids_over_two_shards() {
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
@@ -844,42 +825,78 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_linger_shrinks_under_sequential_load() {
-        let gate = byte_majority();
-        let base = Duration::from_micros(400);
+    fn default_linger_is_a_fixed_ten_microsecond_window() {
+        let fixed = ServeConfig::default().linger;
+        assert_eq!(fixed, Duration::from_micros(10));
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
-            workers: 1,
-            max_batch: 64,
-            linger: base,
-            queue_depth: 256,
-            lut_dir: None,
-            adaptive: AdaptiveConfig {
-                adaptive_linger: true,
-                min_linger: Duration::from_micros(10),
-                max_linger: Duration::from_millis(2),
-                rebalance: false,
-                fusion: false,
-                ..AdaptiveConfig::default()
-            },
+            max_batch: 8,
+            ..ServeConfig::default()
         });
         let id = builder
-            .register("maj3", gate, BackendChoice::Cached)
+            .register("maj3", byte_majority(), BackendChoice::Cached)
             .unwrap();
         let scheduler = builder.build().unwrap();
-        // Strictly sequential submit→wait: every drain serves one
-        // request, so the window must walk down toward min_linger.
-        for set in sample_sets(8, 3) {
-            scheduler.submit(id, set).unwrap().wait().unwrap();
+        for shard in &scheduler.telemetry().shards {
+            assert_eq!(shard.linger, fixed);
         }
-        let telemetry = scheduler.telemetry();
-        let shard = &telemetry.shards[0];
-        assert!(shard.drain_cycles >= 8);
-        assert_eq!(shard.queued, 0);
-        assert!(
-            shard.linger < base && shard.linger >= Duration::from_micros(10),
-            "light load must shrink the window below the {base:?} base: {telemetry:?}"
-        );
+        // A drain that fills `max_batch` must not stretch the window:
+        // burst until one does.
+        let requests: Vec<(GateId, OperandSet)> = sample_sets(64, 3)
+            .into_iter()
+            .map(|set| (id, set))
+            .collect();
+        let filled = || {
+            scheduler
+                .telemetry()
+                .shards
+                .iter()
+                .any(|s| s.full_drains > 0)
+        };
+        for _ in 0..100 {
+            if filled() {
+                break;
+            }
+            scheduler.evaluate_many(&requests).unwrap();
+        }
+        assert!(filled(), "no burst ever filled max_batch");
+        for shard in &scheduler.telemetry().shards {
+            assert_eq!(shard.linger, fixed);
+        }
         scheduler.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_dropped_ticket_does_not_cost_its_drain_mates_their_answers() {
+        let gate = byte_majority();
+        // A long linger and a cap equal to the burst: all eight
+        // requests ride one drain.
+        let mut builder = SchedulerBuilder::new(ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            linger: Duration::from_secs(5),
+            adaptive: AdaptiveConfig::off(),
+            ..ServeConfig::default()
+        });
+        let id = builder
+            .register("maj3", gate.clone(), BackendChoice::Cached)
+            .unwrap();
+        let scheduler = builder.build().unwrap();
+        let sets = sample_sets(8, 3);
+        let mut tickets: Vec<Ticket> = sets
+            .iter()
+            .map(|set| scheduler.submit(id, set.clone()).unwrap())
+            .collect();
+        drop(tickets.remove(3));
+        let kept = sets.iter().enumerate().filter(|&(i, _)| i != 3);
+        for (ticket, (_, set)) in tickets.into_iter().zip(kept) {
+            assert_eq!(
+                ticket.wait().unwrap().word(),
+                gate.evaluate(set.words()).unwrap().word()
+            );
+        }
+        let report = scheduler.shutdown().unwrap();
+        assert_eq!(report.stats.drain_passes, 1, "{:?}", report.stats);
+        assert_eq!(report.stats.completed, 8, "{:?}", report.stats);
+        assert_eq!(report.stats.failed, 0);
     }
 }

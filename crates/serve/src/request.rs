@@ -26,8 +26,9 @@ pub(crate) struct EvalJob {
     pub tag: RequestTag,
     /// The operand words.
     pub set: OperandSet,
-    /// Completion channel back to the submitting [`Ticket`].
-    pub reply: mpsc::Sender<(RequestTag, Result<GateOutput, GateError>)>,
+    /// One-slot completion channel back to the submitting [`Ticket`]
+    /// (the worker answers with `try_send`, so it never blocks here).
+    pub reply: mpsc::SyncSender<(RequestTag, Result<GateOutput, GateError>)>,
 }
 
 /// A pending evaluation: redeem with [`Ticket::wait`].
@@ -289,7 +290,7 @@ mod tests {
 
         // In flight: polling sees nothing, a deadline elapses without
         // consuming the ticket.
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(1);
         let ticket = Ticket { tag: 7, rx };
         assert!(matches!(ticket.try_wait(), Ok(None)));
         assert!(matches!(
@@ -304,7 +305,7 @@ mod tests {
         }
 
         // A gate error lands as ServeError::Gate through wait_timeout.
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(1);
         let ticket = Ticket { tag: 8, rx };
         tx.send((
             8,
@@ -320,7 +321,7 @@ mod tests {
         ));
 
         // A vanished worker is Shutdown on every path.
-        let (tx, rx) = mpsc::channel::<(RequestTag, Result<GateOutput, GateError>)>();
+        let (tx, rx) = mpsc::sync_channel::<(RequestTag, Result<GateOutput, GateError>)>(1);
         let ticket = Ticket { tag: 9, rx };
         drop(tx);
         assert!(matches!(ticket.try_wait(), Err(ServeError::Shutdown)));

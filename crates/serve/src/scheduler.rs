@@ -22,8 +22,9 @@
 //! ```
 //!
 //! A worker drains its queue in cycles: it blocks on the first request,
-//! then keeps collecting until the linger window closes or the batch
-//! cap is reached, groups what it got, and issues one
+//! then keeps collecting until the fixed linger window
+//! ([`ServeConfig::linger`]) closes or the batch cap is reached, sweeps
+//! whatever is already queued, groups what it got, and issues one
 //! [`GateSession::evaluate_batch`] per group. Because routing is by
 //! [`WaveguideId`] and [`LaneId`], a drain cycle naturally coalesces
 //! requests across *different* gates sharing a waveguide — the
@@ -45,15 +46,10 @@
 //!
 //! # Adaptive policies
 //!
-//! Three load-aware policies (see [`AdaptiveConfig`], all on by
-//! default, all individually switchable) feed on the lock-free
+//! Two load-aware policies (see [`AdaptiveConfig`], both on by
+//! default, each individually switchable) feed on the lock-free
 //! telemetry in [`crate::telemetry`]:
 //!
-//! * **load-aware linger** — each worker's linger window shrinks toward
-//!   [`AdaptiveConfig::min_linger`] while drains come back nearly empty
-//!   (low latency under light load) and stretches toward
-//!   [`AdaptiveConfig::max_linger`] while drains fill to `max_batch`
-//!   (big batches under bursts);
 //! * **hot-waveguide rebalancing** — instead of the static
 //!   hash-placement fallback, submissions consult a placement table
 //!   that periodically moves co-tenant waveguides off overloaded
@@ -74,7 +70,9 @@
 //!
 //! Completions carry the scheduler-assigned request tag, so they are
 //! safe to deliver out of order; each [`Ticket`] simply receives its
-//! own.
+//! own through a one-slot reply channel. A worker answers with
+//! `try_send`, so it never blocks on a reply: each channel carries
+//! exactly one answer, and a dropped ticket just discards it.
 //!
 //! # LUT persistence
 //!
@@ -119,12 +117,10 @@ pub struct ServeConfig {
     /// rejected by [`SchedulerBuilder::build`] — it would silently
     /// degenerate every drain to a batch of one.
     pub max_batch: usize,
-    /// Base linger: how long a worker keeps collecting after the first
-    /// request of a drain cycle, trading latency for batch size. With
-    /// [`AdaptiveConfig::adaptive_linger`] on, this is only the
-    /// starting point; the worker then walks the window between
-    /// [`AdaptiveConfig::min_linger`] and [`AdaptiveConfig::max_linger`]
-    /// based on observed drain sizes.
+    /// Linger: how long a worker keeps collecting after the first
+    /// request of a drain cycle, trading latency for batch size. A
+    /// fixed window; requests already queued when it closes still join
+    /// the drain.
     pub linger: Duration,
     /// Bound of each shard's request queue; blocking submission applies
     /// backpressure when full.
@@ -132,8 +128,8 @@ pub struct ServeConfig {
     /// Directory for persisted LUT files (`<gate name>.mglut`). `None`
     /// disables persistence.
     pub lut_dir: Option<PathBuf>,
-    /// The load-adaptive policy knobs (linger adaptation, hot-waveguide
-    /// rebalancing, cross-waveguide fusion). [`AdaptiveConfig::off`]
+    /// The load-adaptive policy knobs (hot-waveguide rebalancing,
+    /// cross-waveguide fusion). [`AdaptiveConfig::off`]
     /// reproduces the static runtime.
     pub adaptive: AdaptiveConfig,
     /// Keep per-channel analog readouts on batched replies. Off by
@@ -151,7 +147,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             max_batch: 256,
-            linger: Duration::from_micros(200),
+            linger: Duration::from_micros(10),
             queue_depth: 1024,
             lut_dir: None,
             adaptive: AdaptiveConfig::default(),
@@ -352,8 +348,7 @@ impl SchedulerBuilder {
     /// # Errors
     ///
     /// * [`ServeError::Config`] for an unusable configuration
-    ///   (`max_batch == 0`, or `adaptive.min_linger` above
-    ///   `adaptive.max_linger`).
+    ///   (`max_batch == 0`).
     /// * [`ServeError::Gate`] for backend construction failures.
     /// * [`ServeError::Gate`] wrapping [`GateError::Persistence`] when
     ///   a persisted LUT file exists but is corrupted or belongs to a
@@ -365,14 +360,6 @@ impl SchedulerBuilder {
                 reason: "max_batch must be at least 1 — a zero cap would make the linger loop \
                          unreachable and silently serve every request as a batch of one"
                     .into(),
-            });
-        }
-        if config.adaptive.min_linger > config.adaptive.max_linger {
-            return Err(ServeError::Config {
-                reason: format!(
-                    "adaptive.min_linger ({:?}) exceeds adaptive.max_linger ({:?})",
-                    config.adaptive.min_linger, config.adaptive.max_linger
-                ),
             });
         }
         config.workers = config.workers.max(1);
@@ -451,7 +438,7 @@ impl SchedulerBuilder {
             templates.push(template);
         }
 
-        let telemetry = Arc::new(Telemetry::new(config.workers, placements));
+        let telemetry = Arc::new(Telemetry::new(config.workers, config.linger, placements));
         let stats = Arc::new(SharedStats::default());
         let templates = Arc::new(templates);
         let meta = Arc::new(meta);
@@ -602,8 +589,8 @@ struct GroupStage {
     tally: Vec<(usize, u64)>,
 }
 
-/// The completion channel carried by every [`EvalJob`].
-type ReplySender = mpsc::Sender<(RequestTag, Result<GateOutput, GateError>)>;
+/// The one-slot completion channel carried by every [`EvalJob`].
+type ReplySender = SyncSender<(RequestTag, Result<GateOutput, GateError>)>;
 
 /// One worker shard: a bounded queue and its own backend instances.
 struct Worker {
@@ -616,7 +603,7 @@ struct Worker {
     templates: Arc<Vec<GateSession>>,
     /// `meta[gate index]` — fusion key, lane slot and FDM eligibility.
     meta: Arc<Vec<GateMeta>>,
-    /// Base linger (the adaptive window starts here).
+    /// Fixed linger window (see [`ServeConfig::linger`]).
     linger: Duration,
     max_batch: usize,
     policy: AdaptiveConfig,
@@ -638,12 +625,6 @@ struct WorkerReport {
 impl Worker {
     fn run(mut self) -> WorkerReport {
         let mut pending: Vec<EvalJob> = Vec::with_capacity(self.max_batch);
-        let mut linger = if self.policy.adaptive_linger {
-            self.linger
-                .clamp(self.policy.min_linger, self.policy.max_linger)
-        } else {
-            self.linger
-        };
         loop {
             // Block for the cycle's first request; a closed queue is
             // the shutdown signal.
@@ -652,7 +633,7 @@ impl Worker {
                 Err(_) => break,
             }
             // Linger: keep collecting so concurrent submitters coalesce.
-            let deadline = Instant::now() + linger;
+            let deadline = Instant::now() + self.linger;
             while pending.len() < self.max_batch {
                 let now = Instant::now();
                 if now >= deadline {
@@ -670,12 +651,7 @@ impl Worker {
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            let drained = pending.len();
             self.serve_drain(&mut pending);
-            if self.policy.adaptive_linger {
-                linger = self.adapted_linger(linger, drained);
-                self.telemetry.publish_linger(self.shard, linger);
-            }
         }
         self.drain_stragglers(&mut pending);
         WorkerReport {
@@ -701,25 +677,6 @@ impl Worker {
         }
         if !pending.is_empty() {
             self.serve_drain(pending);
-        }
-    }
-
-    /// Multiplicative increase/decrease on the linger window: a drain
-    /// that filled the batch cap means traffic is bursty (stretch to
-    /// collect more next time); a drain of one request means the window
-    /// bought nothing (shrink toward pure latency).
-    fn adapted_linger(&self, current: Duration, drained: usize) -> Duration {
-        if drained >= self.max_batch {
-            // Seed the doubling when the window shrank all the way to
-            // zero (min_linger: 0), or it could never grow back.
-            current
-                .max(Duration::from_micros(1))
-                .saturating_mul(2)
-                .min(self.policy.max_linger)
-        } else if drained <= 1 {
-            (current / 2).max(self.policy.min_linger)
-        } else {
-            current
         }
     }
 
@@ -1045,7 +1002,7 @@ impl Worker {
                         // ordering: Relaxed — monotonic stat counter;
                         // the reply channel orders the result delivery.
                         self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                        let _ = reply.send((tag, Ok(output)));
+                        let _ = reply.try_send((tag, Ok(output)));
                     }
                 }
             }
@@ -1072,7 +1029,7 @@ impl Worker {
                                 self.stats.failed.fetch_add(1, Ordering::Relaxed);
                             }
                         };
-                        let _ = reply.send((tag, result));
+                        let _ = reply.try_send((tag, result));
                     }
                 }
             }
@@ -1146,7 +1103,7 @@ impl Worker {
                     // ordering: Relaxed — monotonic stat counter; the
                     // reply channel orders the result delivery.
                     self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply.send((tag, Ok(output)));
+                    let _ = reply.try_send((tag, Ok(output)));
                 }
             }
             Err(_) => {
@@ -1170,7 +1127,7 @@ impl Worker {
                             self.stats.failed.fetch_add(1, Ordering::Relaxed);
                         }
                     };
-                    let _ = reply.send((tag, result));
+                    let _ = reply.try_send((tag, result));
                 }
             }
         }
@@ -1267,7 +1224,7 @@ impl Scheduler {
         // ordering: Relaxed — tags only need uniqueness; submission
         // order is established by the queue send, not the counter.
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let (reply, rx) = mpsc::channel();
+        let (reply, rx) = mpsc::sync_channel(1);
         Ok((
             shard,
             EvalJob {
@@ -1363,7 +1320,7 @@ impl Scheduler {
         let Some(sender) = self.senders.get(shard) else {
             return false;
         };
-        let (reply, _rx) = mpsc::channel();
+        let (reply, _rx) = mpsc::sync_channel(1);
         // The poison rides the gauge like any job: the worker's drain
         // decrement must see a matching increment.
         self.telemetry.note_enqueued(shard);
@@ -1550,7 +1507,11 @@ mod tests {
             policy: AdaptiveConfig::off(),
             keep_readouts: false,
             stats: Arc::new(SharedStats::default()),
-            telemetry: Arc::new(Telemetry::new(1, vec![(WaveguideId(0), LaneId(0), 0)])),
+            telemetry: Arc::new(Telemetry::new(
+                1,
+                Duration::from_micros(50),
+                vec![(WaveguideId(0), LaneId(0), 0)],
+            )),
             scratch: DrainScratch::default(),
         };
         (tx, worker)
@@ -1563,7 +1524,9 @@ mod tests {
         // the collection reaches max_batch instead of growing one
         // oversized batch.
         let (tx, mut worker) = test_worker(4, 16);
-        let (reply, completions) = mpsc::channel();
+        // One reply sender shared by every job: it needs a slot per
+        // answer, since the worker's `try_send` never waits for room.
+        let (reply, completions) = mpsc::sync_channel(16);
         for tag in 0..10u64 {
             tx.send(EvalJob {
                 gate: 0,
@@ -1600,7 +1563,8 @@ mod tests {
         // sender already gone must all be answered and the session's
         // LUT must survive into the worker report.
         let (tx, worker) = test_worker(4, 16);
-        let (reply, completions) = mpsc::channel();
+        // Shared reply sender: one slot per answer (see above).
+        let (reply, completions) = mpsc::sync_channel(16);
         for tag in 0..7u64 {
             tx.send(EvalJob {
                 gate: 0,
@@ -1679,7 +1643,7 @@ mod tests {
         // Poison the victim's shard: a job whose gate index is out of
         // range panics the worker when it indexes its session table.
         let victim_shard = scheduler.shard_of(victim).unwrap();
-        let (reply, _completions) = mpsc::channel();
+        let (reply, _completions) = mpsc::sync_channel(1);
         scheduler.senders[victim_shard]
             .send(EvalJob {
                 gate: usize::MAX,

@@ -2,19 +2,13 @@
 //!
 //! Every hot-path touch point is a relaxed atomic: submitters bump a
 //! per-lane request counter and read the placement table, workers
-//! publish drain sizes, queue depths and their current linger window.
-//! Nothing here takes a lock on the request path; the only
-//! coordination is a compare-and-swap guard around the (rare,
-//! submission-driven) placement review.
+//! publish drain sizes and queue depths. Nothing here takes a lock on
+//! the request path; the only coordination is a compare-and-swap guard
+//! around the (rare, submission-driven) placement review.
 //!
-//! Three adaptive policies consume the counters (all tunable through
-//! [`AdaptiveConfig`], all individually switchable):
+//! Two adaptive policies consume the counters (both tunable through
+//! [`AdaptiveConfig`], each individually switchable):
 //!
-//! * **load-aware linger** — each worker shrinks its linger window
-//!   toward [`AdaptiveConfig::min_linger`] while drains come back
-//!   nearly empty (latency mode) and stretches it toward
-//!   [`AdaptiveConfig::max_linger`] while drains fill to the batch cap
-//!   (burst mode);
 //! * **hot-waveguide rebalancing** — every
 //!   [`AdaptiveConfig::rebalance_interval`] submissions, the placement
 //!   of waveguides over shards is reviewed: when the busiest shard
@@ -46,20 +40,13 @@ use magnon_core::gate::{LaneId, WaveguideId};
 use magnon_core::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use magnon_core::sync::time::Duration;
 
-/// Tuning knobs for the three adaptive serving policies.
+/// Tuning knobs for the two adaptive serving policies.
 ///
-/// [`Default`] enables everything with conservative thresholds;
-/// [`AdaptiveConfig::off`] reproduces the static PR 2 runtime (fixed
-/// linger, fixed placement, per-gate batches) for baselines and
-/// comparisons.
+/// [`Default`] enables both with conservative thresholds;
+/// [`AdaptiveConfig::off`] reproduces the static runtime (fixed
+/// placement, per-gate batches) for baselines and comparisons.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
-    /// Adapt the linger window to the observed drain sizes.
-    pub adaptive_linger: bool,
-    /// Floor the linger window shrinks to under light load.
-    pub min_linger: Duration,
-    /// Cap the linger window stretches to under bursts.
-    pub max_linger: Duration,
     /// Move waveguides between shards when load skews.
     pub rebalance: bool,
     /// Submissions between placement reviews (clamped to ≥ 1).
@@ -77,9 +64,6 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            adaptive_linger: true,
-            min_linger: Duration::from_micros(10),
-            max_linger: Duration::from_millis(2),
             rebalance: true,
             rebalance_interval: 64,
             rebalance_ratio: 2.0,
@@ -90,11 +74,10 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Every adaptive policy disabled: fixed linger, static placement,
-    /// per-gate batches — the PR 2 behaviour.
+    /// Every adaptive policy disabled: static placement, per-gate
+    /// batches.
     pub fn off() -> Self {
         AdaptiveConfig {
-            adaptive_linger: false,
             rebalance: false,
             fusion: false,
             ..AdaptiveConfig::default()
@@ -127,8 +110,6 @@ struct ShardCounters {
     /// Lanes coalesced across those FDM passes (`fdm_lanes /
     /// fdm_passes` ≈ lanes per pass).
     fdm_lanes: AtomicU64,
-    /// The worker's current adaptive linger window, in nanoseconds.
-    linger_ns: AtomicU64,
     /// LUT lookups answered from memory, summed over the shard's live
     /// cached sessions (a gauge the worker republishes after each
     /// drain).
@@ -161,6 +142,9 @@ pub(crate) struct Telemetry {
     /// Indexed by lane *slot* (registration order of first appearance
     /// of each `(waveguide, lane)` pair), not raw id.
     lanes: Vec<LaneState>,
+    /// Every worker's fixed linger window ([`crate::ServeConfig::linger`]),
+    /// reported per shard in the snapshot.
+    linger: Duration,
     submits: AtomicU64,
     rebalances: AtomicU64,
     /// CAS guard: one placement review at a time, submitters never
@@ -172,10 +156,15 @@ impl Telemetry {
     /// `placements[slot]` gives each lane's waveguide id, lane id and
     /// initial shard. Lanes of one waveguide should start on the same
     /// shard so their drains FDM-coalesce (the builder places by
-    /// waveguide id alone).
-    pub fn new(workers: usize, placements: Vec<(WaveguideId, LaneId, usize)>) -> Self {
+    /// waveguide id alone). `linger` is the workers' fixed window.
+    pub fn new(
+        workers: usize,
+        linger: Duration,
+        placements: Vec<(WaveguideId, LaneId, usize)>,
+    ) -> Self {
         Telemetry {
             shards: (0..workers).map(|_| ShardCounters::default()).collect(),
+            linger,
             lanes: placements
                 .into_iter()
                 .map(|(id, lane, shard)| LaneState {
@@ -284,18 +273,6 @@ impl Telemetry {
         if hit_cap {
             // ordering: Relaxed — monotonic stat counter.
             counters.full_drains.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes a worker's current adaptive linger window.
-    pub fn publish_linger(&self, shard: usize, linger: Duration) {
-        // ordering: Relaxed — single-writer gauge (only the shard's own
-        // worker stores it); readers want a recent value, not a fence.
-        if let Some(counters) = self.shards.get(shard) {
-            counters.linger_ns.store(
-                linger.as_nanos().min(u64::MAX as u128) as u64,
-                Ordering::Relaxed,
-            );
         }
     }
 
@@ -449,9 +426,9 @@ impl Telemetry {
                     full_drains: s.full_drains.load(Ordering::Relaxed),
                     fdm_passes: s.fdm_passes.load(Ordering::Relaxed),
                     fdm_lanes: s.fdm_lanes.load(Ordering::Relaxed),
+                    linger: self.linger,
                     // ordering: Relaxed — same consistent-enough
                     // snapshot contract as the counters above.
-                    linger: Duration::from_nanos(s.linger_ns.load(Ordering::Relaxed)),
                     lut_hits: s.lut_hits.load(Ordering::Relaxed),
                     lut_misses: s.lut_misses.load(Ordering::Relaxed),
                     lut_dense_rows: s.lut_dense_rows.load(Ordering::Relaxed),
@@ -539,8 +516,7 @@ pub struct ShardTelemetry {
     pub fdm_passes: u64,
     /// Lanes coalesced across those passes.
     pub fdm_lanes: u64,
-    /// The worker's current linger window (zero until the worker first
-    /// publishes, or when adaptive linger is off).
+    /// The worker's fixed linger window ([`crate::ServeConfig::linger`]).
     pub linger: Duration,
     /// LUT lookups answered from memory, summed over the shard's live
     /// cached sessions (republished after every drain). Cumulative
@@ -588,6 +564,7 @@ mod tests {
     fn route_follows_the_placement_table() {
         let telemetry = Telemetry::new(
             2,
+            Duration::ZERO,
             vec![
                 (WaveguideId(0), LaneId(0), 0),
                 (WaveguideId(0), LaneId(4), 0),
@@ -612,7 +589,7 @@ mod tests {
         // Submitters bump the gauge immediately before the send and
         // roll back a refused one, so routing alone never registers as
         // depth and a failed try_send leaves the gauge where it was.
-        let telemetry = Telemetry::new(1, vec![(WaveguideId(0), LaneId(0), 0)]);
+        let telemetry = Telemetry::new(1, Duration::ZERO, vec![(WaveguideId(0), LaneId(0), 0)]);
         let policy = AdaptiveConfig::off();
         for _ in 0..2 {
             let shard = telemetry.route_submit(0, &policy);
@@ -633,7 +610,7 @@ mod tests {
         // raw gauge non-negative; the snapshot still clamps so a
         // regression shows up as a wrong count, never a wrapped one
         // (queued_raw carries the signed evidence for the checker).
-        let telemetry = Telemetry::new(1, vec![(WaveguideId(0), LaneId(0), 0)]);
+        let telemetry = Telemetry::new(1, Duration::ZERO, vec![(WaveguideId(0), LaneId(0), 0)]);
         telemetry.record_drain(0, 3, false);
         assert_eq!(telemetry.snapshot().shards[0].queued, 0);
         for _ in 0..3 {
@@ -650,6 +627,7 @@ mod tests {
         // Both waveguides start on shard 0; waveguide 0 is hot.
         let telemetry = Telemetry::new(
             2,
+            Duration::ZERO,
             vec![
                 (WaveguideId(0), LaneId(0), 0),
                 (WaveguideId(0), LaneId(4), 0),
@@ -670,6 +648,7 @@ mod tests {
     fn a_lone_hot_waveguide_stays_put() {
         let telemetry = Telemetry::new(
             2,
+            Duration::ZERO,
             vec![
                 (WaveguideId(0), LaneId(0), 0),
                 (WaveguideId(1), LaneId(0), 1),
@@ -686,26 +665,26 @@ mod tests {
 
     #[test]
     fn drain_accounting_balances_the_queue_gauge() {
-        let telemetry = Telemetry::new(1, vec![(WaveguideId(0), LaneId(0), 0)]);
+        let linger = Duration::from_micros(40);
+        let telemetry = Telemetry::new(1, linger, vec![(WaveguideId(0), LaneId(0), 0)]);
         let policy = AdaptiveConfig::off();
         for _ in 0..5 {
             let shard = telemetry.route_submit(0, &policy);
             telemetry.note_enqueued(shard);
         }
         telemetry.record_drain(0, 5, true);
-        telemetry.publish_linger(0, Duration::from_micros(40));
         let snap = telemetry.snapshot();
         assert_eq!(snap.shards[0].queued, 0);
         assert_eq!(snap.shards[0].drained, 5);
         assert_eq!(snap.shards[0].drain_cycles, 1);
         assert_eq!(snap.shards[0].full_drains, 1);
-        assert_eq!(snap.shards[0].linger, Duration::from_micros(40));
+        assert_eq!(snap.shards[0].linger, linger);
         assert_eq!(snap.drain_skew(), 1.0);
     }
 
     #[test]
     fn request_counters_decay_even_with_one_shard() {
-        let telemetry = Telemetry::new(1, vec![(WaveguideId(0), LaneId(0), 0)]);
+        let telemetry = Telemetry::new(1, Duration::ZERO, vec![(WaveguideId(0), LaneId(0), 0)]);
         let policy = AdaptiveConfig {
             rebalance: true,
             rebalance_interval: 8,
@@ -728,6 +707,7 @@ mod tests {
         // pass serving 3 + 2 requests across both lanes.
         let telemetry = Telemetry::new(
             1,
+            Duration::ZERO,
             vec![
                 (WaveguideId(0), LaneId(0), 0),
                 (WaveguideId(0), LaneId(1), 0),
@@ -748,7 +728,7 @@ mod tests {
 
     #[test]
     fn lut_gauges_are_republished_not_accumulated() {
-        let telemetry = Telemetry::new(2, vec![(WaveguideId(0), LaneId(0), 0)]);
+        let telemetry = Telemetry::new(2, Duration::ZERO, vec![(WaveguideId(0), LaneId(0), 0)]);
         assert_eq!(telemetry.snapshot().lut_hit_rate(), None);
         telemetry.publish_lut(0, 96, 32, 8);
         telemetry.publish_lut(0, 224, 32, 8); // next drain republishes the new sums
@@ -765,7 +745,7 @@ mod tests {
     fn refused_submissions_never_touch_the_gauge() {
         // try_submit routing a request to a full queue simply never
         // calls note_enqueued — no bump to undo.
-        let telemetry = Telemetry::new(1, vec![(WaveguideId(0), LaneId(0), 0)]);
+        let telemetry = Telemetry::new(1, Duration::ZERO, vec![(WaveguideId(0), LaneId(0), 0)]);
         let _shard = telemetry.route_submit(0, &AdaptiveConfig::off());
         assert_eq!(telemetry.snapshot().shards[0].queued, 0);
     }

@@ -1,12 +1,11 @@
 //! Adaptive serving under hot-waveguide skew: watch the placement
-//! table, linger windows and fusion counters react to load.
+//! table and fusion counters react to load.
 //!
 //! Four majority gates of identical design sit on four waveguides that
 //! all statically hash onto ONE shard of two — then 80 % of the
 //! traffic hammers the first one. The adaptive runtime notices the
-//! skew, migrates the co-tenant waveguides to the idle shard, fuses
-//! the background requests across waveguides, and stretches/shrinks
-//! each worker's linger window to fit its arrival rate:
+//! skew, migrates the co-tenant waveguides to the idle shard and fuses
+//! the background requests across waveguides:
 //!
 //! ```text
 //! cargo run --release --example serve_adaptive
@@ -98,13 +97,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let telemetry = scheduler.telemetry();
         println!(
-            "round {round}: {} served, {} rebalance move(s) so far, per-shard lingers {:?}",
+            "round {round}: {} served, {} rebalance move(s) so far, per-shard drain cycles {:?}",
             outputs.len(),
             telemetry.rebalances,
             telemetry
                 .shards
                 .iter()
-                .map(|s| s.linger)
+                .map(|s| s.drain_cycles)
                 .collect::<Vec<_>>(),
         );
     }

@@ -180,9 +180,6 @@ proptest! {
             queue_depth: 512,
             lut_dir: None,
             adaptive: AdaptiveConfig {
-                adaptive_linger: true,
-                min_linger: Duration::from_micros(10),
-                max_linger: Duration::from_millis(1),
                 rebalance: true,
                 rebalance_interval: 8,
                 rebalance_ratio: 1.5,
