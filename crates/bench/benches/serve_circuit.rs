@@ -1,36 +1,18 @@
-//! SERVE-CIRCUIT bench: compiled-plan execution through the scheduler,
-//! caller-serialized level-by-level vs dependency-aware pipelined.
+//! SERVE-CIRCUIT bench: compiled-plan execution through the scheduler
+//! with dependency-aware pipelined submission.
 //!
 //! The workload is one netlist with two **independent subgraphs** of
 //! opposite shape — a 8-bit ripple-carry adder (deep, narrow: the
 //! carry serializes its majorities) and a wide XOR parity tree over
 //! eight extra inputs (shallow, wide) — compiled once and served over
-//! 2 worker shards. Two execution modes on the SAME executor, plan and
-//! scheduler:
+//! 2 worker shards. `pipelined_x{N}` times [`CircuitExecutor::run_batch`]:
+//! each node's request goes out the moment its operands complete, so
+//! the two subgraphs (and all N operand sets) interleave across shards
+//! and drain cycles with no global synchronization.
 //!
-//! * `levelized_x{N}` — [`CircuitExecutor::run_batch_levelized`]: each
-//!   ASAP wavefront is submitted whole and fully awaited before the
-//!   next; the barrier idles every gate whose operands were ready
-//!   early (the parity tree finishes its work in 3 levels, then waits
-//!   for the adder's carry chain at every remaining barrier);
-//! * `pipelined_x{N}` — [`CircuitExecutor::run_batch`]: each node's
-//!   request goes out the moment its operands complete, so the two
-//!   subgraphs (and all N operand sets) interleave across shards and
-//!   drain cycles with no global synchronization.
-//!
-//! The serving policy (`max_batch: 48`, `linger: 300µs`, fixed — the
-//! adaptive knobs are off so both modes face identical windows) is
-//! where the barrier's cost shows up: a level's requests rarely divide
-//! evenly into drains, and levelized guarantees an **empty queue** at
-//! every level boundary, so each level's final partial drain sits out
-//! its full linger window with nothing arriving behind it. Pipelined
-//! submission keeps refilling the open window with freshly unblocked
-//! dependents, so those tails get used instead of wasted.
-//!
-//! Acceptance: pipelined beats levelized on this ≥2-subgraph circuit.
-//! (Single-core CI caveat: with one hardware thread the gap narrows —
-//! workers, clients and the harness timeshare one core — but the
-//! barrier cost is idle linger, not compute, so the ordering holds.)
+//! The serving policy is fixed (`max_batch: 48`, `linger: 300µs`, the
+//! adaptive knobs off), so the row measures submission and drain
+//! overlap rather than a policy walk.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use magnon_circuits::adder::full_adder;
@@ -142,25 +124,12 @@ fn bench_serve_circuit(c: &mut Criterion) {
 
     let sets = random_sets(circuit.input_count(), SETS);
     let reference = circuit.evaluate_batch(&sets).expect("reference");
-    // Warm every slot's LUT (and check both modes) before timing.
+    // Warm every slot's LUT (and check the answers) before timing.
     assert_eq!(executor.run_batch(&sets).expect("pipelined"), reference);
-    assert_eq!(
-        executor.run_batch_levelized(&sets).expect("levelized"),
-        reference
-    );
 
     let mut group = c.benchmark_group("serve_circuit");
     group.sample_size(20);
     group.throughput(Throughput::Elements((SETS * WIDTH) as u64));
-    group.bench_function(format!("levelized_x{SETS}"), |b| {
-        b.iter(|| {
-            black_box(
-                executor
-                    .run_batch_levelized(black_box(&sets))
-                    .expect("levelized"),
-            )
-        })
-    });
     group.bench_function(format!("pipelined_x{SETS}"), |b| {
         b.iter(|| black_box(executor.run_batch(black_box(&sets)).expect("pipelined")))
     });

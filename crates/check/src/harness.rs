@@ -10,7 +10,7 @@
 use crate::policy::{BoundedExplorer, GuidedPolicy, RandomPolicy};
 use magnon_core::sync::mcheck::{run_execution, RunOutcome};
 use std::collections::HashSet;
-// lint: allow(std-sync-import) — the controller's own lock cannot ride the
+// analyze: allow(std-sync-import) — the controller's own lock cannot ride the
 // façade it instruments: a modeled mutex would add yield points to every run.
 use std::sync::{Arc, Mutex, MutexGuard};
 

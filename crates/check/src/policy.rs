@@ -7,7 +7,7 @@
 //! records a byte-identical trace.
 
 use magnon_core::sync::mcheck::{Choice, ChoicePoint, Policy};
-// lint: allow(std-sync-import) — the decision-count channel is checker
+// analyze: allow(std-sync-import) — the decision-count channel is checker
 // bookkeeping, not modeled state; the façade would perturb the schedules.
 use std::sync::{Arc, Mutex};
 

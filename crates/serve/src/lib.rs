@@ -592,10 +592,6 @@ mod tests {
             "two lanes of one waveguide must stack into a multi-lane drain: {stats:?}"
         );
         let telemetry = scheduler.telemetry();
-        assert!(
-            telemetry.shards[0].fdm_passes >= 1 && telemetry.shards[0].fdm_lanes >= 2,
-            "the shard must report its FDM passes: {telemetry:?}"
-        );
         let lane0 = telemetry
             .lanes
             .iter()

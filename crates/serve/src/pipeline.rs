@@ -2,20 +2,14 @@
 //!
 //! A [`magnon_compiler::CompiledCircuit`] carries ASAP wavefronts and a
 //! `(waveguide, lane)` slot table; this module runs such plans
-//! *through* the [`Scheduler`] two ways:
-//!
-//! * [`CircuitExecutor::run_batch`] — **pipelined**, dependency-aware
-//!   submission: each gate node's request goes out the moment its
-//!   operand values complete (polled via [`Ticket::try_wait`], parked
-//!   briefly on [`Ticket::wait_timeout`] when nothing moves). No level
-//!   barriers: independent subgraphs, and different operand sets of
-//!   the *same* subgraph, interleave freely across shards and lanes,
-//!   so worker drains stay deep and multi-lane FDM passes form by
-//!   construction.
-//! * [`CircuitExecutor::run_batch_levelized`] — the caller-serialized
-//!   baseline: submit one whole wavefront, wait for all of it, then
-//!   submit the next. This is what a careful caller could write by
-//!   hand against [`crate::ScheduledBank`]; the bench compares the two.
+//! *through* the [`Scheduler`]: [`CircuitExecutor::run_batch`] is
+//! **pipelined**, dependency-aware submission. Each gate node's request
+//! goes out the moment its operand values complete (polled via
+//! [`Ticket::try_wait`], parked briefly on [`Ticket::wait_timeout`]
+//! when nothing moves). No level barriers: independent subgraphs, and
+//! different operand sets of the *same* subgraph, interleave freely
+//! across shards and lanes, so worker drains stay deep and multi-lane
+//! FDM passes form by construction.
 //!
 //! [`register_compiled`] maps a plan's slot table onto scheduler
 //! registrations (one MAJ-3/XOR-2 pair per slot, on the slot's
@@ -304,39 +298,6 @@ impl<'a> CircuitExecutor<'a> {
         self.gather(state, sets.len())
     }
 
-    /// Runs many operand sets level by level: each ASAP wavefront is
-    /// submitted whole, then fully awaited before the next goes out —
-    /// the caller-serialized baseline the pipelined mode is measured
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// The conditions of [`CircuitExecutor::run_batch`].
-    pub fn run_batch_levelized(
-        &mut self,
-        sets: &[Vec<Word>],
-    ) -> Result<Vec<Vec<Word>>, ServeError> {
-        let mut state = self.init(sets)?;
-        self.note_traffic(sets.len());
-        for level in self.compiled.levels() {
-            let mut tickets = Vec::with_capacity(level.len() * sets.len());
-            for node in level {
-                let id = self.gate_for(node.index());
-                for set in 0..sets.len() {
-                    let operands = self.operands_of(&state, set, node.index());
-                    tickets.push((set, node.index(), self.scheduler.submit(id, operands)?));
-                }
-            }
-            // The barrier: the whole wavefront completes before any
-            // gate of the next level is submitted.
-            for (set, node, ticket) in tickets {
-                let out = ticket.wait()?;
-                self.complete(&mut state, set, node, out.word());
-            }
-        }
-        self.gather(state, sets.len())
-    }
-
     /// Validates `sets` and resolves every node reachable without gate
     /// work (inputs, constants, inversions of resolved nodes), seeding
     /// the ready queue with gates whose operands are all free.
@@ -523,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_levelized_match_the_reference() {
+    fn pipelined_runs_match_the_reference() {
         let guide = Waveguide::paper_default().unwrap();
         let circuit = two_subgraph_circuit();
         let compiled = compile(&circuit, &guide, &CompilerConfig::default()).unwrap();
@@ -541,13 +502,12 @@ mod tests {
         let sets = sample_sets(circuit.input_count(), 12);
         let reference = circuit.evaluate_batch(&sets).unwrap();
         assert_eq!(executor.run_batch(&sets).unwrap(), reference);
-        assert_eq!(executor.run_batch_levelized(&sets).unwrap(), reference);
         let single = executor.run(&sets[0]).unwrap();
         assert_eq!(single, reference[0]);
-        // 4 gate nodes, 12+12+1 sets.
+        // 4 gate nodes, 12+1 sets.
         let stats = executor.dispatch_stats();
-        assert_eq!(stats.dispatch_calls, 12);
-        assert_eq!(stats.sets_dispatched, 4 * 25);
+        assert_eq!(stats.dispatch_calls, 8);
+        assert_eq!(stats.sets_dispatched, 4 * 13);
         assert!(
             executor.peak_in_flight() >= 2,
             "independent subgraphs must overlap"

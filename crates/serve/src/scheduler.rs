@@ -729,7 +729,6 @@ impl Worker {
         // joins and reports the panicked shard; the model checker's
         // shutdown-under-panic scenario drives exactly this).
         for job in pending.iter() {
-            // lint: allow(drain-path-panic)
             // analyze: allow(can-panic) — deliberate corruption trap, see above
             assert!(
                 job.gate < self.meta.len(),
@@ -991,7 +990,6 @@ impl Worker {
         }
         match attempt {
             Ok(outputs) => {
-                self.telemetry.record_fdm_pass(self.shard, lanes);
                 self.stats.record_fdm_pass(lanes, total_requests);
                 for (lane_replies, lane_outputs) in replies.into_iter().zip(outputs) {
                     self.note_lanes_served(
@@ -1480,28 +1478,46 @@ mod tests {
     }
 
     /// A worker wired to a hand-held queue, for driving the drain paths
-    /// directly.
+    /// directly. It serves two gates on lanes 0 and 1 of waveguide 0, so
+    /// a drain touching both stacks them into one FDM pass: gate 0 is a
+    /// 3-input majority, gate 1 a 2-input XOR on lane 1's band.
     fn test_worker(max_batch: usize, queue_depth: usize) -> (SyncSender<EvalJob>, Worker) {
-        let gate = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
+        let maj = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
             .channels(8)
             .inputs(3)
             .build()
             .unwrap();
-        let template = GateSession::new(gate, BackendChoice::Cached).unwrap();
-        let session = template.split_session().unwrap();
+        let xor = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
+            .channels(8)
+            .inputs(2)
+            .function(LogicFunction::Xor)
+            .base_frequency(fdm_lane_base(1, 8))
+            .frequency_step(packed_frequency_step(8))
+            .on_lane(LaneId(1))
+            .build()
+            .unwrap();
+        let templates: Vec<GateSession> = [maj, xor]
+            .into_iter()
+            .map(|gate| GateSession::new(gate, BackendChoice::Cached).unwrap())
+            .collect();
+        let sessions = templates
+            .iter()
+            .map(|t| Some(t.split_session().unwrap()))
+            .collect();
+        let meta = |lane: u16| GateMeta {
+            fingerprint: u64::from(lane),
+            lane_slot: usize::from(lane),
+            waveguide: WaveguideId(0),
+            lane: LaneId(lane),
+            fdm_ok: true,
+        };
         let (tx, rx) = mpsc::sync_channel(queue_depth);
         let worker = Worker {
             shard: 0,
             rx,
-            sessions: vec![Some(session)],
-            templates: Arc::new(vec![template]),
-            meta: Arc::new(vec![GateMeta {
-                fingerprint: 0,
-                lane_slot: 0,
-                waveguide: WaveguideId(0),
-                lane: LaneId(0),
-                fdm_ok: true,
-            }]),
+            sessions,
+            templates: Arc::new(templates),
+            meta: Arc::new(vec![meta(0), meta(1)]),
             linger: Duration::from_micros(50),
             max_batch,
             policy: AdaptiveConfig::off(),
@@ -1510,11 +1526,76 @@ mod tests {
             telemetry: Arc::new(Telemetry::new(
                 1,
                 Duration::from_micros(50),
-                vec![(WaveguideId(0), LaneId(0), 0)],
+                vec![
+                    (WaveguideId(0), LaneId(0), 0),
+                    (WaveguideId(0), LaneId(1), 0),
+                ],
             )),
             scratch: DrainScratch::default(),
         };
         (tx, worker)
+    }
+
+    #[test]
+    fn a_malformed_lane_request_fails_alone_when_the_stacked_pass_falls_back() {
+        // Both lanes of waveguide 0 stack into one FDM pass. One lane-1
+        // request carries a third operand for its 2-input gate, so the
+        // stacked validation rejects the whole pass and every request
+        // is retried on its own gate: only the offender may fail.
+        let (_tx, mut worker) = test_worker(64, 4);
+        let (reply, completions) = mpsc::sync_channel(16);
+        let malformed = 9u64;
+        let mut pending = Vec::new();
+        for tag in 0..12u64 {
+            let gate = usize::from(tag >= 6);
+            let mut words = sample_set(tag).words().to_vec();
+            if gate == 1 && tag != malformed {
+                words.truncate(2);
+            }
+            pending.push(EvalJob {
+                gate,
+                tag,
+                set: OperandSet::new(words),
+                reply: reply.clone(),
+            });
+        }
+        let requests: Vec<(usize, OperandSet)> =
+            pending.iter().map(|j| (j.gate, j.set.clone())).collect();
+        drop(reply);
+        worker.serve_drain(&mut pending);
+        assert!(pending.is_empty());
+        let mut answered = 0;
+        for (tag, result) in completions.iter() {
+            let (gate, set) = &requests[tag as usize];
+            if tag == malformed {
+                assert!(
+                    matches!(result, Err(GateError::InputCountMismatch { .. })),
+                    "the malformed request must fail: {result:?}"
+                );
+            } else {
+                let reference = worker.templates[*gate]
+                    .gate()
+                    .evaluate(set.words())
+                    .unwrap();
+                assert_eq!(result.unwrap().word(), reference.word(), "tag {tag}");
+            }
+            answered += 1;
+        }
+        assert_eq!(answered, 12, "every request gets exactly one answer");
+        let stats = worker.stats.snapshot();
+        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.completed, 11);
+        // One batch (the stacked attempt, not two per-lane groups) and
+        // no recorded FDM pass: the drain took the stack's `Err` branch.
+        assert_eq!(stats.batches, 1, "both lanes must ride one stacked attempt");
+        assert_eq!(stats.fdm_batches, 0, "a rejected stack is not an FDM pass");
+        let lanes = worker.telemetry.snapshot().lanes;
+        assert_eq!(
+            lanes.iter().map(|l| l.served).sum::<u64>(),
+            stats.completed,
+            "per-lane served counters must sum to completed: {lanes:?}"
+        );
+        assert_eq!((lanes[0].served, lanes[1].served), (6, 5));
     }
 
     #[test]

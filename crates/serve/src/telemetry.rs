@@ -103,13 +103,6 @@ struct ShardCounters {
     /// Drain cycles that filled to the batch cap (linger utilization:
     /// `full_drains / drain_cycles` ≈ how often the window saturates).
     full_drains: AtomicU64,
-    /// Multi-lane FDM passes served: drains where two or more frequency
-    /// lanes of one waveguide coalesced into a single stacked
-    /// `evaluate_batch`.
-    fdm_passes: AtomicU64,
-    /// Lanes coalesced across those FDM passes (`fdm_lanes /
-    /// fdm_passes` ≈ lanes per pass).
-    fdm_lanes: AtomicU64,
     /// LUT lookups answered from memory, summed over the shard's live
     /// cached sessions (a gauge the worker republishes after each
     /// drain).
@@ -298,16 +291,6 @@ impl Telemetry {
         counters.lut_dense_rows.store(dense_rows, Ordering::Relaxed);
     }
 
-    /// Accounts one multi-lane FDM pass on `shard` that coalesced
-    /// `lanes` frequency lanes into a single stacked batch.
-    pub fn record_fdm_pass(&self, shard: usize, lanes: u64) {
-        // ordering: Relaxed — monotonic stat counters; dashboards only.
-        if let Some(counters) = self.shards.get(shard) {
-            counters.fdm_passes.fetch_add(1, Ordering::Relaxed);
-            counters.fdm_lanes.fetch_add(lanes, Ordering::Relaxed);
-        }
-    }
-
     /// Accounts `requests` successfully answered on lane `slot`
     /// (workers call this on success paths only, so the per-lane
     /// `served` counters sum to the scheduler's `completed` total).
@@ -424,8 +407,6 @@ impl Telemetry {
                     drained: s.drained.load(Ordering::Relaxed),
                     drain_cycles: s.drain_cycles.load(Ordering::Relaxed),
                     full_drains: s.full_drains.load(Ordering::Relaxed),
-                    fdm_passes: s.fdm_passes.load(Ordering::Relaxed),
-                    fdm_lanes: s.fdm_lanes.load(Ordering::Relaxed),
                     linger: self.linger,
                     // ordering: Relaxed — same consistent-enough
                     // snapshot contract as the counters above.
@@ -511,11 +492,6 @@ pub struct ShardTelemetry {
     /// Drain cycles that filled to `max_batch` (the linger-utilization
     /// numerator).
     pub full_drains: u64,
-    /// Multi-lane FDM passes: drains where ≥ 2 frequency lanes of one
-    /// waveguide coalesced into a single stacked batch.
-    pub fdm_passes: u64,
-    /// Lanes coalesced across those passes.
-    pub fdm_lanes: u64,
     /// The worker's fixed linger window ([`crate::ServeConfig::linger`]).
     pub linger: Duration,
     /// LUT lookups answered from memory, summed over the shard's live
@@ -702,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn fdm_passes_and_lane_served_counters_surface_in_the_snapshot() {
+    fn lane_served_counters_surface_in_the_snapshot() {
         // Two lanes of waveguide 0 co-resident on shard 0: a multi-lane
         // pass serving 3 + 2 requests across both lanes.
         let telemetry = Telemetry::new(
@@ -713,12 +689,9 @@ mod tests {
                 (WaveguideId(0), LaneId(1), 0),
             ],
         );
-        telemetry.record_fdm_pass(0, 2);
         telemetry.record_lane_served(0, 3);
         telemetry.record_lane_served(1, 2);
         let snap = telemetry.snapshot();
-        assert_eq!(snap.shards[0].fdm_passes, 1);
-        assert_eq!(snap.shards[0].fdm_lanes, 2);
         assert_eq!(snap.lanes[0].lane, LaneId(0));
         assert_eq!(snap.lanes[1].lane, LaneId(1));
         assert_eq!(snap.lanes[0].served, 3);

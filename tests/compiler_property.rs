@@ -92,9 +92,8 @@ proptest! {
 
     /// Compiled + pipelined execution ≡ sequential reference, on
     /// randomized DAGs with shared fan-out and multiple outputs, under
-    /// live adaptive rebalancing. The levelized baseline must agree
-    /// too, and every plan's lane grid must honour the guard band the
-    /// packed frequency grid promises.
+    /// live adaptive rebalancing. Every plan's lane grid must honour
+    /// the guard band the packed frequency grid promises.
     #[test]
     fn compiled_pipelined_execution_matches_sequential_reference(
         seed in 0u64..u64::MAX,
@@ -141,8 +140,6 @@ proptest! {
         let reference = circuit.evaluate_batch(&sets).unwrap();
         let pipelined = executor.run_batch(&sets).unwrap();
         prop_assert_eq!(&pipelined, &reference);
-        let levelized = executor.run_batch_levelized(&sets).unwrap();
-        prop_assert_eq!(&levelized, &reference);
 
         let stats = scheduler.stats();
         prop_assert_eq!(stats.failed, 0);

@@ -354,8 +354,6 @@ proptest! {
         let telemetry = scheduler.telemetry();
         let served: u64 = telemetry.lanes.iter().map(|l| l.served).sum();
         prop_assert_eq!(served, seeds.len() as u64, "per-lane served counters must cover the stream");
-        let fdm_passes: u64 = telemetry.shards.iter().map(|s| s.fdm_passes).sum();
-        prop_assert_eq!(fdm_passes, stats.fdm_batches);
         scheduler.shutdown().unwrap();
     }
 

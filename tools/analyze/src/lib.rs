@@ -1,20 +1,20 @@
-//! Workspace call-graph analyzer: transitive **can-panic** /
-//! **can-block** / **can-allocate** reachability proofs for the
-//! serving hot paths.
-//!
-//! The PR 8 linter (`magnon-lint`) is lexical and per-file: a drain
-//! path that calls a helper in another module which calls `unwrap()`
-//! passes it. This tool closes that hole. It parses every `crates/*`
-//! and `tools/*` source with the shared lint lexer (no type inference
-//! — names only), builds a workspace call graph, seeds each function
-//! with its *intrinsic* facts (the `unwrap`/`sleep`/`push` tokens on
-//! its own lines), and propagates them transitively. A checked-in
-//! policy file (`analysis-policy.toml`) declares root functions and
-//! the facts they must be free of; violations come with the full call
-//! chain from root to offending site.
+//! The workspace's one static-analysis tool. One walk collects every
+//! non-test `.rs` file under `crates/` and `tools/`; each file is lexed
+//! once ([`lex`]) and feeds the **line passes** ([`lines`]) and the
+//! **call graph**. The graph is parsed by name (no type inference),
+//! each function is seeded with its *intrinsic* facts (the
+//! `unwrap`/`sleep`/`push` tokens on its own lines), and the facts
+//! propagate transitively: **can-panic**, **can-block**,
+//! **can-allocate**. A checked-in policy file (`analysis-policy.toml`)
+//! declares root functions and the facts they must be free of;
+//! violations come with the full call chain from root to offending
+//! site. The `[ignore].files` mcheck shims stay out of the graph, not
+//! out of the line passes. Every rule is waived the same way, on the
+//! line or up to two lines above, with a mandatory reason:
+//! `// analyze: allow(<rule>) — <reason>`.
 //!
 //! ```text
-//! cargo run -p magnon-analyze                  # prove the policy roots
+//! cargo run -p magnon-analyze                  # line passes + policy proofs + lock pass
 //! cargo run -p magnon-analyze -- --explain magnon_serve::scheduler::Worker::serve_drain
 //! cargo run -p magnon-analyze -- --json report.json
 //! cargo run -p magnon-analyze -- --self-test   # plant + find a 3-deep violation
@@ -28,13 +28,15 @@
 //! method calls get conservative edges to every candidate and are
 //! reported, never silently dropped.
 
+pub mod lex;
+pub mod lines;
 pub mod locks;
 mod parse;
 pub mod policy;
 pub mod report;
 
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 pub use parse::{module_path_of, parse_file};
 pub use policy::{parse_policy, Policy, RootSpec, TrustSpec};
@@ -141,7 +143,7 @@ pub struct SendSite {
     pub line: usize,
 }
 
-/// One analyzer waiver comment (rule + mandatory reason), as written.
+/// One waiver comment (rule + mandatory reason), as written.
 #[derive(Debug, Clone)]
 pub struct WaiverDecl {
     pub file: String,
@@ -174,7 +176,6 @@ impl FileUses {
 pub struct FileParse {
     pub fns: Vec<FnDef>,
     pub uses: FileUses,
-    pub waiver_decls: Vec<WaiverDecl>,
 }
 
 /// A resolved call edge.
@@ -213,6 +214,8 @@ pub struct Analysis {
     pub external_calls: usize,
     pub files: usize,
     pub waiver_decls: Vec<WaiverDecl>,
+    /// Line-pass findings over every scanned file, in walk order.
+    pub findings: Vec<lines::Finding>,
     /// `can[fact.index()][fn]` after [`compute_facts`].
     pub can: [Vec<bool>; 3],
     by_id: HashMap<String, usize>,
@@ -264,18 +267,27 @@ enum Resolution {
     External,
 }
 
-/// Parses and links a set of sources into a call graph. Facts are not
-/// computed yet — call [`compute_facts`] with the policy's trust list.
-pub fn analyze_sources(sources: &[SourceFile], ignore_methods: &[String]) -> Analysis {
+/// Lexes every source once, runs the line passes and takes the waiver
+/// inventory over all of them, and parses and links the sources outside
+/// `policy`'s `[ignore].files` into a call graph. Facts are not
+/// computed yet — [`check_policy`] does that under the trust list.
+pub fn analyze_sources(sources: &[SourceFile], policy: &Policy) -> Analysis {
     let crate_names: HashSet<String> = sources.iter().map(|s| s.crate_name.clone()).collect();
     let mut fns: Vec<FnDef> = Vec::new();
     let mut uses_by_file: HashMap<String, FileUses> = HashMap::new();
     let mut waiver_decls = Vec::new();
+    let mut findings = Vec::new();
     for s in sources {
-        let fp = parse_file(&s.crate_name, &s.rel, &s.text);
+        let views = lex::split_views(&s.text);
+        let test_mask = lex::cfg_test_mask(&views);
+        findings.extend(lines::lint_lines(&s.rel, &s.text, &views, &test_mask));
+        waiver_decls.extend(lines::collect_waiver_decls(&s.rel, &views, &test_mask));
+        if policy.ignore_files.contains(&s.rel) {
+            continue;
+        }
+        let fp = parse_file(&s.crate_name, &s.rel, &views);
         fns.extend(fp.fns);
         uses_by_file.insert(s.rel.clone(), fp.uses);
-        waiver_decls.extend(fp.waiver_decls);
     }
     let mut by_id = HashMap::new();
     let mut free_by_name: HashMap<&str, Vec<usize>> = HashMap::new();
@@ -306,7 +318,7 @@ pub fn analyze_sources(sources: &[SourceFile], ignore_methods: &[String]) -> Ana
                 &free_by_name,
                 &methods_by_name,
                 &crate_names,
-                ignore_methods,
+                &policy.ignore_methods,
             );
             let (targets, ambiguous) = match res {
                 Resolution::Edges(t) => {
@@ -366,6 +378,7 @@ pub fn analyze_sources(sources: &[SourceFile], ignore_methods: &[String]) -> Ana
         resolved_calls,
         external_calls,
         waiver_decls,
+        findings,
         by_id,
         radj,
         fadj,
@@ -786,7 +799,10 @@ pub fn check_policy(analysis: &mut Analysis, policy: &Policy) -> PolicyResults {
                 w.file, w.line, w.rule
             ));
         }
-        if Fact::from_id(&w.rule).is_none() && !locks::WAIVER_RULES.contains(&w.rule.as_str()) {
+        let known = Fact::from_id(&w.rule).is_some()
+            || locks::WAIVER_RULES.contains(&w.rule.as_str())
+            || lines::Rule::WAIVABLE.iter().any(|r| r.id() == w.rule);
+        if !known {
             errors.push(format!(
                 "{}:{}: waiver names unknown rule `{}`",
                 w.file, w.line, w.rule
@@ -832,12 +848,55 @@ pub fn check_policy(analysis: &mut Analysis, policy: &Policy) -> PolicyResults {
 // Workspace loading.
 // ---------------------------------------------------------------------------
 
-/// Reads every non-ignored `.rs` file under `crates/` and `tools/`,
-/// tagging each with its crate's underscored package name.
-pub fn load_workspace(root: &Path, ignore_files: &[String]) -> Vec<SourceFile> {
+/// Directory names never scanned (vendored code, build output, test
+/// trees — test code is exempt from every rule wholesale).
+const SKIP_DIRS: &[&str] = &["target", "vendor", "tests", "benches", "examples"];
+
+/// Walks up from `start` to the directory whose `Cargo.toml` declares
+/// `[workspace]`.
+pub fn workspace_root(start: &Path) -> Option<PathBuf> {
+    let mut dir = Some(start);
+    while let Some(d) = dir {
+        let manifest = d.join("Cargo.toml");
+        if manifest.is_file() {
+            if let Ok(text) = std::fs::read_to_string(&manifest) {
+                if text.contains("[workspace]") {
+                    return Some(d.to_path_buf());
+                }
+            }
+        }
+        dir = d.parent();
+    }
+    None
+}
+
+/// Collects `.rs` files under `dir`, skipping [`SKIP_DIRS`] and
+/// dotted directories, in sorted order.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let mut entries: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if SKIP_DIRS.contains(&name) || name.starts_with('.') {
+                continue;
+            }
+            collect_rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The one workspace walk: reads every `.rs` file under `crates/` and
+/// `tools/`, tagging each with its crate's underscored package name.
+pub fn load_workspace(root: &Path) -> Vec<SourceFile> {
     let mut files = Vec::new();
     for sub in ["crates", "tools"] {
-        magnon_lint::collect_rs_files(&root.join(sub), &mut files);
+        collect_rs_files(&root.join(sub), &mut files);
     }
     let mut crate_name_cache: HashMap<String, String> = HashMap::new();
     let mut out = Vec::new();
@@ -847,9 +906,6 @@ pub fn load_workspace(root: &Path, ignore_files: &[String]) -> Vec<SourceFile> {
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        if ignore_files.iter().any(|f| &rel == f) {
-            continue;
-        }
         let parts: Vec<&str> = rel.splitn(3, '/').collect();
         if parts.len() < 3 {
             continue;
@@ -1085,7 +1141,7 @@ strict = ["fix_lock"]
 pub fn self_test() -> Result<String, String> {
     let sources = fixture_sources();
     let policy = fixture_policy();
-    let mut analysis = analyze_sources(&sources, &policy.ignore_methods);
+    let mut analysis = analyze_sources(&sources, &policy);
     let results = check_policy(&mut analysis, &policy);
     let planted = results
         .roots

@@ -1,11 +1,11 @@
-//! CLI for the workspace call-graph analyzer. All analysis lives in
-//! the library; this binary loads the workspace + policy, prints the
-//! verdict, and exits nonzero on any violation or policy error.
+//! CLI for the workspace analyzer. All analysis lives in the library;
+//! this binary loads the workspace + policy, prints the verdict, and
+//! exits nonzero on any line finding, proof violation or policy error.
 
 use std::path::PathBuf;
 
 use magnon_analyze::{
-    check_policy, explain, load_workspace, parse_policy, render_chain, report, Fact,
+    check_policy, explain, load_workspace, parse_policy, render_chain, report, workspace_root, Fact,
 };
 
 fn main() {
@@ -31,7 +31,9 @@ fn main() {
                     "usage: magnon-analyze [--root <dir>] [--policy <file>] [--json <out>]\n\
                      \x20                     [--explain <path::to::fn>] [--self-test]\n\
                      \n\
-                     Proves the analysis-policy.toml roots transitively free of their\n\
+                     Runs the line passes (SAFETY comments, ordering rationales, hot-path\n\
+                     sleeps, drain-file panics, the sync façade) over every workspace\n\
+                     source, proves the analysis-policy.toml roots transitively free of their\n\
                      denied facts (can-panic / can-block / can-alloc) over the workspace\n\
                      call graph, and runs the lock-order & blocking-discipline pass over\n\
                      the [[lock]] classes (deadlock cycles, blocking-while-locked,\n\
@@ -68,7 +70,7 @@ fn main() {
             .or_else(|_| std::env::current_dir())
             .unwrap_or_else(|_| PathBuf::from("."))
     });
-    let Some(root) = magnon_lint::workspace_root(&start) else {
+    let Some(root) = workspace_root(&start) else {
         eprintln!(
             "magnon-analyze: no workspace Cargo.toml found above {}",
             start.display()
@@ -93,8 +95,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let sources = load_workspace(&root, &policy.ignore_files);
-    let mut analysis = magnon_analyze::analyze_sources(&sources, &policy.ignore_methods);
+    let sources = load_workspace(&root);
+    let mut analysis = magnon_analyze::analyze_sources(&sources, &policy);
     let results = check_policy(&mut analysis, &policy);
 
     if let Some(path) = json_arg {
@@ -163,7 +165,15 @@ fn main() {
     for err in &results.errors {
         eprintln!("magnon-analyze: error: {err}");
     }
-    let mut violation_count = 0;
+    for finding in &analysis.findings {
+        println!("{finding}");
+    }
+    println!(
+        "magnon-analyze: line passes: {} finding(s) across {} file(s)",
+        analysis.findings.len(),
+        analysis.files
+    );
+    let mut violation_count = analysis.findings.len();
     for r in &results.roots {
         for chain in &r.violations {
             violation_count += 1;
@@ -210,8 +220,8 @@ fn main() {
     );
     if violation_count == 0 && results.errors.is_empty() {
         println!(
-            "magnon-analyze: clean — {} policy root(s) proven, lock-order graph acyclic, \
-             zero unwaived blocking-while-locked sites",
+            "magnon-analyze: clean — zero line findings, {} policy root(s) proven, \
+             lock-order graph acyclic, zero unwaived blocking-while-locked sites",
             results.roots.len()
         );
     } else {

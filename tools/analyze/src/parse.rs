@@ -1,18 +1,15 @@
 //! Per-file Rust item parser: functions, impl owners, inline modules,
 //! `use` imports, call expressions and intrinsic fact sites — all on
-//! the stripped code view from the shared `magnon-lint` lexer.
+//! the stripped code view from the shared lexer ([`crate::lex`]).
 //!
 //! Deliberately *not* a type checker: calls are recorded by name and
 //! resolved later by the graph builder (same crate, `use` imports,
 //! explicit ambiguity report). `#[cfg(test)]` and `#[cfg(mcheck)]`
 //! items are masked out — the analyzer models the production build.
 
-use crate::{
-    CallExpr, CallKind, Fact, FileParse, FileUses, FnDef, LockSite, SendSite, Site, WaiverDecl,
-};
-use magnon_lint::{
-    cfg_mask, has_slice_index, is_ident_char, split_views, waiver_reason, LineViews,
-};
+use crate::lex::{cfg_mask, has_macro, has_slice_index, is_ident_char, waiver_reason, LineViews};
+use crate::lines::{PANIC_MACROS, PANIC_TOKENS};
+use crate::{CallExpr, CallKind, Fact, FileParse, FileUses, FnDef, LockSite, SendSite, Site};
 
 /// Words that can never start a call expression.
 const KEYWORDS: &[&str] = &[
@@ -122,18 +119,14 @@ struct Parser<'a> {
     open_guards: Vec<(usize, usize, usize)>,
 }
 
-/// Parses one file into its functions, calls, sites and imports.
-pub fn parse_file(crate_name: &str, rel: &str, source: &str) -> FileParse {
-    let lines = split_views(source);
-    let mask = cfg_mask(
-        &lines,
-        &["#[cfg(test)]", "#[cfg(all(test", "#[cfg(mcheck)]"],
-    );
+/// Parses one lexed file into its functions, calls, sites and imports.
+pub fn parse_file(crate_name: &str, rel: &str, lines: &[LineViews]) -> FileParse {
+    let mask = cfg_mask(lines, &["#[cfg(test)]", "#[cfg(all(test", "#[cfg(mcheck)]"]);
     let mut p = Parser {
         crate_name,
         rel,
         file_mods: module_path_of(rel),
-        lines: &lines,
+        lines,
         scopes: Vec::new(),
         depth: 0,
         pending: Pending::None,
@@ -156,55 +149,10 @@ pub fn parse_file(crate_name: &str, rel: &str, source: &str) -> FileParse {
     for (f, s, _) in std::mem::take(&mut p.open_guards) {
         p.fns[f].locks[s].release_line = lines.len();
     }
-    let waiver_decls = collect_waiver_decls(rel, &lines, &mask);
     FileParse {
         fns: p.fns,
         uses: p.uses,
-        waiver_decls,
     }
-}
-
-/// Every analyzer waiver comment in non-test code — the raw inventory
-/// the reason gate and the JSON report run over. Doc comments are
-/// skipped: they *describe* the syntax, they don't waive anything.
-fn collect_waiver_decls(rel: &str, lines: &[LineViews], mask: &[bool]) -> Vec<WaiverDecl> {
-    const TAG: &str = "analyze: allow(";
-    let mut out = Vec::new();
-    for (idx, l) in lines.iter().enumerate() {
-        if mask[idx] {
-            continue;
-        }
-        // `/// …` and `//! …` keep a leading `/` or `!` in the comment
-        // view (the stripper consumes only the first two slashes).
-        let t = l.comment.trim_start();
-        if t.starts_with('/') || t.starts_with('!') {
-            continue;
-        }
-        let mut rest = l.comment.as_str();
-        while let Some(p) = rest.find(TAG) {
-            let after = &rest[p + TAG.len()..];
-            let Some(close) = after.find(')') else {
-                break;
-            };
-            let rule = after[..close].trim().to_string();
-            let tail = &after[close + 1..];
-            let end = tail.find(TAG).unwrap_or(tail.len());
-            let reason = tail[..end]
-                .trim_start_matches(|c: char| {
-                    c.is_whitespace() || c == '—' || c == '-' || c == ':' || c == '–'
-                })
-                .trim()
-                .to_string();
-            out.push(WaiverDecl {
-                file: rel.to_string(),
-                line: idx + 1,
-                rule,
-                reason,
-            });
-            rest = tail;
-        }
-    }
-    out
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -216,7 +164,7 @@ fn starts_upper(s: &str) -> bool {
 }
 
 fn fact_waivers(lines: &[LineViews], idx: usize) -> [Option<String>; 3] {
-    Fact::ALL.map(|f| waiver_reason(lines, idx, "analyze", f.id()))
+    Fact::ALL.map(|f| waiver_reason(lines, idx, f.id()))
 }
 
 impl<'a> Parser<'a> {
@@ -361,7 +309,7 @@ impl<'a> Parser<'a> {
             self.scan_sites(idx, code, f);
             self.scan_locks(idx, code, f);
             for (rule, waived) in [("lock-order", 0), ("lock-block", 1)] {
-                if waiver_reason(self.lines, idx, "analyze", rule).is_some() {
+                if waiver_reason(self.lines, idx, rule).is_some() {
                     let v = if waived == 0 {
                         &mut self.fns[f].lock_order_waived
                     } else {
@@ -660,20 +608,15 @@ impl<'a> Parser<'a> {
     /// call graph cannot see (no edges into `std`).
     fn scan_sites(&mut self, idx: usize, code: &str, fn_idx: usize) {
         let mut found: Vec<(Fact, &str)> = Vec::new();
-        for t in [".unwrap()", ".expect(", ".expect_err("] {
+        for t in PANIC_TOKENS.iter().chain(&[".expect_err("]) {
             if code.contains(t) {
                 found.push((Fact::Panic, t));
             }
         }
-        for m in [
-            "panic!",
-            "unreachable!",
-            "todo!",
-            "unimplemented!",
-            "assert!",
-            "assert_eq!",
-            "assert_ne!",
-        ] {
+        for m in PANIC_MACROS
+            .iter()
+            .chain(&["assert!", "assert_eq!", "assert_ne!"])
+        {
             if has_macro(code, m) {
                 found.push((Fact::Panic, m));
             }
@@ -734,7 +677,7 @@ impl<'a> Parser<'a> {
             }
         }
         for (fact, token) in found {
-            let waived = waiver_reason(self.lines, idx, "analyze", fact.id());
+            let waived = waiver_reason(self.lines, idx, fact.id());
             self.fns[fn_idx].sites.push(Site {
                 fact,
                 token: token.to_string(),
@@ -944,22 +887,6 @@ fn owner_of(header: &str) -> String {
         .unwrap_or("")
         .trim_start_matches('&')
         .to_string()
-}
-
-/// `name!` with an identifier boundary before it (so `debug_assert!`
-/// does not count as `assert!`).
-fn has_macro(code: &str, pat: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(pat) {
-        let start = from + pos;
-        let before_ok =
-            start == 0 || !is_ident_char(code[..start].chars().next_back().unwrap_or(' '));
-        if before_ok {
-            return true;
-        }
-        from = start + pat.len();
-    }
-    false
 }
 
 /// A free-fn-style call token: `word(`, with an identifier boundary

@@ -1,5 +1,6 @@
 //! The machine-readable JSON report: graph size, per-root verdicts
-//! with call chains, the full waiver inventory, and every ambiguity.
+//! with call chains, the full waiver inventory (line rules and graph
+//! rules alike), and every ambiguity.
 //! Hand-rolled emitter — the toolchain takes no external deps.
 
 use crate::{Analysis, Fact, Policy, PolicyResults};

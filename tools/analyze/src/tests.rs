@@ -1,19 +1,15 @@
 //! Analyzer test suite: parser coverage, fixture crates with planted
 //! transitive violations (found / waived / ambiguous), policy parsing,
-//! and the workspace-must-be-clean gate mirroring PR 8's lint suite.
+//! and the workspace-must-be-clean gate over line passes and proofs.
 
 use super::*;
 
 fn one_crate(src: &str) -> Vec<SourceFile> {
-    vec![SourceFile {
-        crate_name: "tcrate".into(),
-        rel: "crates/tcrate/src/lib.rs".into(),
-        text: src.into(),
-    }]
+    one_file("tcrate", "crates/tcrate/src/lib.rs", src)
 }
 
 fn analyzed(src: &str) -> Analysis {
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     compute_facts(&mut a, &[]);
     a
 }
@@ -174,7 +170,7 @@ fn trust_entries_cut_propagation_at_the_boundary() {
     let src = "pub fn root() { audited(); }\n\
                pub fn audited() { inner().unwrap(); }\n\
                fn inner() -> Option<u32> { Some(1) }\n";
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     let trust = vec![TrustSpec {
         func: "tcrate::audited".into(),
         rules: vec![Fact::Panic],
@@ -193,7 +189,7 @@ fn trust_entries_cut_propagation_at_the_boundary() {
 
 #[test]
 fn unknown_trust_fn_is_an_error_not_a_silent_skip() {
-    let mut a = analyze_sources(&one_crate("pub fn f() {}\n"), &[]);
+    let mut a = analyze_sources(&one_crate("pub fn f() {}\n"), &Policy::default());
     let trust = vec![TrustSpec {
         func: "tcrate::no_such_fn".into(),
         rules: vec![Fact::Panic],
@@ -220,7 +216,7 @@ fn cross_crate_calls_resolve_by_path_and_import() {
             text: "pub fn step(x: u32) -> u32 { x + 1 }\n".into(),
         },
     ];
-    let a = analyze_sources(&sources, &[]);
+    let a = analyze_sources(&sources, &Policy::default());
     let go = a.index_of("alpha::go").expect("go parsed");
     let step = a.index_of("beta::helpers::step").expect("step parsed");
     let hits = a
@@ -282,7 +278,7 @@ fn ambiguous_method_calls_are_reported_with_conservative_edges() {
 }
 
 fn analyzed_multi(sources: Vec<SourceFile>) -> Analysis {
-    let mut a = analyze_sources(&sources, &[]);
+    let mut a = analyze_sources(&sources, &Policy::default());
     compute_facts(&mut a, &[]);
     a
 }
@@ -332,7 +328,11 @@ fn ignore_methods_suppress_std_name_collisions() {
             text: "use one::Q;\npub fn go(v: &mut Vec<u32>) { v.push(1); }\n".into(),
         },
     ];
-    let mut a = analyze_sources(&sources, &["push".to_string()]);
+    let policy = Policy {
+        ignore_methods: vec!["push".to_string()],
+        ..Policy::default()
+    };
+    let mut a = analyze_sources(&sources, &policy);
     compute_facts(&mut a, &[]);
     let go = a.index_of("caller::go").expect("go parsed");
     assert!(
@@ -382,26 +382,31 @@ fn policy_rejects_missing_reasons_and_unknown_rules() {
     );
 }
 
+/// Line-rule waivers share the inventory and the reason gate: a known
+/// line id passes the rule check and reaches the JSON report.
 #[test]
 fn reasonless_waivers_are_policy_errors() {
-    let src = "pub fn root() {\n\
+    let src = "// analyze: allow(std-sync-import) — checker bookkeeping\n\
+               use std::sync::Mutex;\n\
+               pub fn root() {\n\
                    // analyze: allow(can-panic)\n\
                    x().unwrap();\n\
                }\n\
                fn x() -> Option<u32> { None }\n";
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let sources = one_file("c", "crates/check/src/policy.rs", src);
+    let mut a = analyze_sources(&sources, &Policy::default());
     let policy = Policy::default();
     let results = check_policy(&mut a, &policy);
-    assert!(
-        results.errors.iter().any(|e| e.contains("no reason")),
-        "errors: {:?}",
-        results.errors
-    );
+    assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+    assert_eq!(results.errors.len(), 1, "errors: {:?}", results.errors);
+    assert!(results.errors[0].contains(":4:") && results.errors[0].contains("no reason"));
+    let json = report::render_json(&a, &policy, &results);
+    assert!(json.contains("\"rule\": \"std-sync-import\", \"reason\": \"checker bookkeeping\""));
 }
 
 #[test]
 fn unresolved_policy_roots_are_errors() {
-    let mut a = analyze_sources(&one_crate("pub fn f() {}\n"), &[]);
+    let mut a = analyze_sources(&one_crate("pub fn f() {}\n"), &Policy::default());
     let policy =
         parse_policy("[[root]]\nfn = \"tcrate::ghost\"\ndeny = [\"can-panic\"]\nreason = \"x\"\n")
             .expect("parses");
@@ -415,7 +420,7 @@ fn violation_chains_reach_the_json_report() {
     let src = "pub fn root() { deep(); }\n\
                fn deep() { x().unwrap(); }\n\
                fn x() -> Option<u32> { None }\n";
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     let policy =
         parse_policy("[[root]]\nfn = \"tcrate::root\"\ndeny = [\"can-panic\"]\nreason = \"t\"\n")
             .expect("parses");
@@ -521,7 +526,7 @@ fn reasonless_lock_order_waivers_are_policy_errors() {
                    // analyze: allow(lock-order)\n\
                    let _b = p.lock().unwrap();\n\
                }\n";
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     let policy = Policy::default();
     let results = check_policy(&mut a, &policy);
     assert!(
@@ -549,7 +554,7 @@ fn join_under_registry_lock_is_flagged_and_the_fixed_shape_is_clean() {
                          }\n\
                      }\n\
                      fn join_one(_h: u32) { std::thread::park(); }\n";
-    let mut a = analyze_sources(&one_crate(old_shape), &[]);
+    let mut a = analyze_sources(&one_crate(old_shape), &Policy::default());
     let policy = parse_policy(lock_policy).expect("parses");
     let results = check_policy(&mut a, &policy);
     let blocked: Vec<_> = results
@@ -577,7 +582,7 @@ fn join_under_registry_lock_is_flagged_and_the_fixed_shape_is_clean() {
                            }\n\
                        }\n\
                        fn join_one(_h: u32) { std::thread::park(); }\n";
-    let mut a = analyze_sources(&one_crate(fixed_shape), &[]);
+    let mut a = analyze_sources(&one_crate(fixed_shape), &Policy::default());
     let results = check_policy(&mut a, &policy);
     assert!(
         results.lock.violations.is_empty(),
@@ -601,7 +606,7 @@ fn temporary_guards_do_not_cover_following_lines() {
                    std::thread::park();\n\
                    let _ = n;\n\
                }\n";
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     let policy = parse_policy(
         "[[lock]]\nclass = \"registry\"\nreceivers = [\"connections\"]\nreason = \"t\"\n",
     )
@@ -635,7 +640,7 @@ fn order_inversion_and_undeclared_nesting_are_flagged() {
                        let _x = self.aux.lock().unwrap();\n\
                    }\n\
                }\n";
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     let policy = parse_policy(
         "[[lock]]\nclass = \"queue\"\nreceivers = [\"queue\"]\nbefore = [\"slots\"]\nreason = \"t\"\n\
          [[lock]]\nclass = \"slots\"\nreceivers = [\"slots\"]\nreason = \"t\"\n\
@@ -662,7 +667,7 @@ fn order_inversion_and_undeclared_nesting_are_flagged() {
 fn strict_crates_reject_unclassified_receivers() {
     let src = "use std::sync::Mutex;\n\
                pub fn f(mystery: &Mutex<u32>) { let _g = mystery.lock().unwrap(); }\n";
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     let strict = parse_policy(
         "[[lock]]\nclass = \"known\"\nreceivers = [\"other\"]\nreason = \"t\"\n\
          [locks]\nstrict = [\"tcrate\"]\n",
@@ -674,7 +679,7 @@ fn strict_crates_reject_unclassified_receivers() {
         "errors: {:?}",
         results.errors
     );
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     let lax =
         parse_policy("[[lock]]\nclass = \"known\"\nreceivers = [\"other\"]\nreason = \"t\"\n")
             .expect("parses");
@@ -695,7 +700,7 @@ fn lock_edges_and_violations_reach_the_json_report() {
                        let _s = self.slots.lock().unwrap();\n\
                    }\n\
                }\n";
-    let mut a = analyze_sources(&one_crate(src), &[]);
+    let mut a = analyze_sources(&one_crate(src), &Policy::default());
     let policy = parse_policy(
         "[[lock]]\nclass = \"queue\"\nreceivers = [\"queue\"]\nreason = \"t\"\n\
          [[lock]]\nclass = \"slots\"\nreceivers = [\"slots\"]\nreason = \"t\"\n",
@@ -710,22 +715,71 @@ fn lock_edges_and_violations_reach_the_json_report() {
     assert!(json.contains("\"acyclic\": true"));
 }
 
+// --- line passes inside the analyzer --------------------------------------
+
+fn one_file(crate_name: &str, rel: &str, src: &str) -> Vec<SourceFile> {
+    vec![SourceFile {
+        crate_name: crate_name.into(),
+        rel: rel.into(),
+        text: src.into(),
+    }]
+}
+
+/// One `can-panic` waiver covers both panic checks on its site: the
+/// drain-file line pass and the intrinsic fact the roots propagate.
+#[test]
+fn one_can_panic_waiver_silences_the_line_pass_and_the_fact() {
+    let waived = "pub fn drain(v: &[u32]) -> u32 {\n\
+                      // analyze: allow(can-panic) — corruption trap\n\
+                      v.first().copied().unwrap()\n\
+                  }\n";
+    let bare = waived.replace("// analyze: allow(can-panic) — corruption trap", "");
+    for (src, flagged) in [(waived, false), (bare.as_str(), true)] {
+        let sources = one_file("magnon_serve", "crates/serve/src/scheduler.rs", src);
+        let mut a = analyze_sources(&sources, &Policy::default());
+        assert!(check_policy(&mut a, &Policy::default()).errors.is_empty());
+        let ids: Vec<&str> = a.findings.iter().map(|f| f.rule.id()).collect();
+        assert_eq!(ids, if flagged { vec!["can-panic"] } else { vec![] });
+        assert_eq!(a.can[Fact::Panic.index()][0], flagged);
+    }
+}
+
+/// `[ignore].files` leave the call graph, not the line passes.
+#[test]
+fn ignored_files_are_still_line_checked() {
+    let shim = "crates/core/src/sync/shim.rs";
+    let policy = Policy {
+        ignore_files: vec![shim.into()],
+        ..Policy::default()
+    };
+    let src = "pub fn load() -> u32 { X.load(Ordering::Relaxed) }\n";
+    let a = analyze_sources(&one_file("magnon_core", shim, src), &policy);
+    assert!(a.fns.is_empty(), "the shim must stay out of the graph");
+    let rules: Vec<lines::Rule> = a.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, vec![lines::Rule::OrderingRationale]);
+}
+
 /// The whole point: the real workspace, under the real policy, is
-/// clean. Any future PR that adds a transitive panic/alloc/block to a
-/// protected root fails here before CI even runs the binary.
+/// clean — zero line findings and every proof holding. This makes
+/// `cargo test` itself the gate: a new violation of any line rule, or a
+/// transitive panic/alloc/block reaching a protected root, fails here
+/// before CI even runs the binary.
 #[test]
 fn workspace_is_clean_under_the_checked_in_policy() {
-    let root = magnon_lint::workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+    let root = workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("the analyzer lives inside the workspace");
     let policy_text = std::fs::read_to_string(root.join("analysis-policy.toml"))
         .expect("analysis-policy.toml is checked in");
     let policy = parse_policy(&policy_text).expect("policy parses");
     assert!(!policy.roots.is_empty(), "policy must declare roots");
-    let sources = load_workspace(&root, &policy.ignore_files);
+    let sources = load_workspace(&root);
     assert!(sources.len() > 20, "the walk must find the crates");
-    let mut analysis = analyze_sources(&sources, &policy.ignore_methods);
+    let mut analysis = analyze_sources(&sources, &policy);
     let results = check_policy(&mut analysis, &policy);
     let mut rendered = String::new();
+    for f in &analysis.findings {
+        rendered.push_str(&format!("{f}\n"));
+    }
     for e in &results.errors {
         rendered.push_str(&format!("error: {e}\n"));
     }
@@ -748,7 +802,7 @@ fn workspace_is_clean_under_the_checked_in_policy() {
         ));
     }
     assert!(
-        results.clean(),
+        analysis.findings.is_empty() && results.clean(),
         "workspace must be analyzer-clean under analysis-policy.toml:\n{rendered}"
     );
     assert!(
