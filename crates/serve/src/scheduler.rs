@@ -120,7 +120,8 @@ pub struct ServeConfig {
     /// Linger: how long a worker keeps collecting after the first
     /// request of a drain cycle, trading latency for batch size. A
     /// fixed window; requests already queued when it closes still join
-    /// the drain.
+    /// the drain. It is a timed park; workers run with 1 µs timer slack,
+    /// so on Linux 10 µs is served as ~17 µs, not ~67 µs (50 µs default).
     pub linger: Duration,
     /// Bound of each shard's request queue; blocking submission applies
     /// backpressure when full.
@@ -624,6 +625,7 @@ struct WorkerReport {
 
 impl Worker {
     fn run(mut self) -> WorkerReport {
+        thread::tighten_timer_slack();
         let mut pending: Vec<EvalJob> = Vec::with_capacity(self.max_batch);
         loop {
             // Block for the cycle's first request; a closed queue is
@@ -1670,6 +1672,44 @@ mod tests {
                 .iter()
                 .any(|(idx, snap)| *idx == 0 && snap.entry_count() > 0),
             "the cached session's LUT must reach the worker report"
+        );
+    }
+
+    /// The calling thread's timer slack. procfs serves it only at the
+    /// top level, as `/proc/<tid>/timerslack_ns`, and a thread may read
+    /// its own without any capability.
+    #[cfg(all(target_os = "linux", not(mcheck)))]
+    fn own_timer_slack_ns() -> u64 {
+        let link = std::fs::read_link("/proc/thread-self").unwrap();
+        let tid = link.file_name().unwrap().to_str().unwrap();
+        let path = format!("/proc/{tid}/timerslack_ns");
+        std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{path}: {e}"))
+            .trim()
+            .parse()
+            .unwrap()
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", not(mcheck)))]
+    fn a_worker_runs_with_one_microsecond_timer_slack_and_its_caller_keeps_its_own() {
+        // The linger window is a timed park, so the worker thread must
+        // drop Linux's default 50 µs slack; the thread that spawned it
+        // must keep whatever slack it had.
+        let caller_before = own_timer_slack_ns();
+        let (tx, worker) = test_worker(4, 4);
+        drop(tx);
+        let worker_slack = thread::spawn(move || {
+            worker.run();
+            own_timer_slack_ns()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(worker_slack, 1_000, "the worker must run with 1 µs slack");
+        assert_eq!(
+            own_timer_slack_ns(),
+            caller_before,
+            "running a worker must not retune the spawning thread's slack"
         );
     }
 
