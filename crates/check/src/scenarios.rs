@@ -91,7 +91,6 @@ fn maj_gate(waveguide_id: u64) -> ParallelGate {
 /// turn on exactly what they test), short linger, shallow queues.
 fn small_config(workers: usize) -> ServeConfig {
     ServeConfig {
-        keep_readouts: false,
         workers,
         max_batch: 4,
         linger: Duration::from_micros(50),

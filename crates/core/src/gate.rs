@@ -583,10 +583,9 @@ impl GateOutput {
     }
 
     /// Wraps a bare decoded word as a logic-only output: `readouts()`
-    /// answers an empty slice. Serving runtimes reply with these when
-    /// callers only consume logic words (see `magnon-serve`'s
-    /// `keep_readouts`), skipping the per-channel diagnostics
-    /// allocation.
+    /// answers an empty slice. `magnon-serve`'s drains reply with
+    /// these, since wire responses carry only logic words, skipping the
+    /// per-channel diagnostics allocation.
     pub fn logic_only(word: Word) -> Self {
         GateOutput {
             word,

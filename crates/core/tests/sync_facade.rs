@@ -175,3 +175,34 @@ fn instants_are_monotonic() {
     assert_eq!(later.checked_sub(Duration::from_millis(5)), Some(t0));
     let _ = t0.elapsed();
 }
+
+/// Outside `mcheck` every façade path must *be* the `std` type, not a
+/// look-alike: a shim compiled into a default build would put an
+/// instrumentation layer on every serving hot path.
+#[cfg(not(mcheck))]
+#[test]
+fn facade_types_are_the_std_types_outside_mcheck() {
+    use std::any::{type_name, TypeId};
+
+    fn assert_same<Facade: 'static, Std: 'static>() {
+        assert!(
+            TypeId::of::<Facade>() == TypeId::of::<Std>(),
+            "{} is not {}",
+            type_name::<Facade>(),
+            type_name::<Std>()
+        );
+    }
+
+    assert_same::<Mutex<u8>, std::sync::Mutex<u8>>();
+    assert_same::<magnon_core::sync::MutexGuard<'static, u8>, std::sync::MutexGuard<'static, u8>>();
+    assert_same::<AtomicU64, std::sync::atomic::AtomicU64>();
+    assert_same::<AtomicUsize, std::sync::atomic::AtomicUsize>();
+    assert_same::<AtomicBool, std::sync::atomic::AtomicBool>();
+    assert_same::<mpsc::Sender<u8>, std::sync::mpsc::Sender<u8>>();
+    assert_same::<mpsc::SyncSender<u8>, std::sync::mpsc::SyncSender<u8>>();
+    assert_same::<mpsc::Receiver<u8>, std::sync::mpsc::Receiver<u8>>();
+    assert_same::<thread::JoinHandle<u8>, std::thread::JoinHandle<u8>>();
+    assert_same::<thread::Builder, std::thread::Builder>();
+    assert_same::<Instant, std::time::Instant>();
+    assert_same::<Duration, std::time::Duration>();
+}

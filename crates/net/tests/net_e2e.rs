@@ -34,7 +34,6 @@ fn serving_scheduler(config: ServeConfig) -> Arc<Scheduler> {
 
 fn quick_serve_config() -> ServeConfig {
     ServeConfig {
-        keep_readouts: false,
         workers: 2,
         max_batch: 64,
         linger: Duration::from_micros(100),
@@ -335,7 +334,6 @@ fn lanes_ride_the_wire_directory_pins_and_fdm_coalescing() {
     // traffic hitting both lanes must coalesce into multi-lane FDM
     // drains server-side.
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         workers: 1,
         linger: Duration::from_millis(1),
         ..quick_serve_config()
@@ -464,7 +462,6 @@ fn backpressure_surfaces_as_retry_after_and_still_completes() {
     // wire as retry-after frames — and the client's transparent
     // retries must still land every request exactly once.
     let scheduler = serving_scheduler(ServeConfig {
-        keep_readouts: false,
         workers: 1,
         max_batch: 4,
         linger: Duration::from_micros(500),

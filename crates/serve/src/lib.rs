@@ -99,7 +99,6 @@ mod tests {
 
     fn quick_config(workers: usize) -> ServeConfig {
         ServeConfig {
-            keep_readouts: false,
             workers,
             max_batch: 64,
             linger: Duration::from_micros(100),
@@ -273,7 +272,6 @@ mod tests {
     fn coalescing_shows_up_in_stats_under_batched_load() {
         let gate = byte_majority();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             linger: Duration::from_millis(2),
             ..quick_config(1)
         });
@@ -329,7 +327,6 @@ mod tests {
     fn try_submit_reports_a_full_queue() {
         let gate = byte_majority();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             workers: 1,
             max_batch: 4,
             linger: Duration::from_millis(50),
@@ -371,7 +368,6 @@ mod tests {
         // read negative and must return to zero once traffic drains.
         let gate = byte_majority();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             workers: 1,
             max_batch: 1,
             linger: Duration::ZERO,
@@ -418,7 +414,6 @@ mod tests {
     fn zero_max_batch_is_rejected_at_build() {
         let gate = byte_majority();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             max_batch: 0,
             ..quick_config(1)
         });
@@ -437,7 +432,6 @@ mod tests {
     fn static_placement_spreads_even_waveguide_ids_over_two_shards() {
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             adaptive: AdaptiveConfig::off(),
             ..quick_config(2)
         });
@@ -476,7 +470,6 @@ mod tests {
         let guide = Waveguide::paper_default().unwrap();
         // Waveguides 0 and 4 statically hash to the same shard of 2.
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             workers: 2,
             adaptive: AdaptiveConfig {
                 rebalance: true,
@@ -542,7 +535,6 @@ mod tests {
         // gates can only come from multi-lane FDM stacking.
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             workers: 1,
             max_batch: 64,
             linger: Duration::from_millis(2),
@@ -677,7 +669,6 @@ mod tests {
         // lane must keep the old per-gate batches (no stacked pass).
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             workers: 1,
             linger: Duration::from_millis(2),
             ..quick_config(1)
@@ -717,7 +708,6 @@ mod tests {
     fn deep_drains_fuse_compatible_gates_across_waveguides() {
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             workers: 1,
             max_batch: 64,
             linger: Duration::from_millis(2),
@@ -770,7 +760,6 @@ mod tests {
     fn incompatible_gates_never_fuse() {
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             workers: 1,
             max_batch: 64,
             linger: Duration::from_millis(2),

@@ -437,7 +437,6 @@ mod tests {
 
     fn quick_config(workers: usize) -> ServeConfig {
         ServeConfig {
-            keep_readouts: false,
             workers,
             max_batch: 64,
             linger: Duration::from_micros(50),

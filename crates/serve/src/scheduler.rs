@@ -37,7 +37,7 @@
 //! Gates carrying the same [`WaveguideId`] but distinct [`LaneId`]s
 //! occupy disjoint frequency bands of one physical medium, so their
 //! groups do not stay separate batches: the drain stacks every lane of
-//! a waveguide into one multi-lane [`evaluate_fdm_batch`]
+//! a waveguide into one multi-lane [`evaluate_fdm_batch_logic`]
 //! pass (micromagnetic backends are excluded, mirroring the no-fusion
 //! rule). Per-shard FDM pass counters and per-lane served counters
 //! surface through [`Scheduler::telemetry`]; register lane-shifted
@@ -89,8 +89,7 @@ use crate::request::{EvalJob, GateId, SchedulerStats, SharedStats, Ticket};
 use crate::telemetry::{AdaptiveConfig, Telemetry, TelemetrySnapshot};
 use magnon_circuits::netlist::{fdm_lane_base, packed_frequency_step};
 use magnon_core::backend::{
-    evaluate_fdm_batch, evaluate_fdm_batch_logic, BackendChoice, GateSession, LaneBatch,
-    OperandSet, RequestTag,
+    evaluate_fdm_batch_logic, BackendChoice, GateSession, LaneBatch, OperandSet, RequestTag,
 };
 use magnon_core::gate::{GateOutput, LaneId, ParallelGate, ParallelGateBuilder, WaveguideId};
 use magnon_core::lut_store::{load_lut, save_lut, LutSnapshot};
@@ -133,14 +132,6 @@ pub struct ServeConfig {
     /// cross-waveguide fusion). [`AdaptiveConfig::off`]
     /// reproduces the static runtime.
     pub adaptive: AdaptiveConfig,
-    /// Keep per-channel analog readouts on batched replies. Off by
-    /// default: responses on the wire only carry logic words, so drains
-    /// answer through the logic-only path
-    /// ([`GateOutput::logic_only`] — `readouts()` comes back empty),
-    /// skipping the dominant per-request allocation and riding the
-    /// cached backend's bit-sliced kernel. Turn on for callers that
-    /// read amplitude/phase diagnostics off their tickets.
-    pub keep_readouts: bool,
 }
 
 impl Default for ServeConfig {
@@ -152,7 +143,6 @@ impl Default for ServeConfig {
             queue_depth: 1024,
             lut_dir: None,
             adaptive: AdaptiveConfig::default(),
-            keep_readouts: false,
         }
     }
 }
@@ -466,7 +456,6 @@ impl SchedulerBuilder {
                 linger: config.linger,
                 max_batch: config.max_batch,
                 policy: config.adaptive.clone(),
-                keep_readouts: config.keep_readouts,
                 stats: Arc::clone(&stats),
                 telemetry: Arc::clone(&telemetry),
                 scratch: DrainScratch::default(),
@@ -608,9 +597,6 @@ struct Worker {
     linger: Duration,
     max_batch: usize,
     policy: AdaptiveConfig,
-    /// Answer batched replies with full analog readouts instead of the
-    /// logic-only fast path (see [`ServeConfig::keep_readouts`]).
-    keep_readouts: bool,
     stats: Arc<SharedStats>,
     telemetry: Arc<Telemetry>,
     /// Reusable drain-cycle buffers (see [`DrainScratch`]).
@@ -890,7 +876,7 @@ impl Worker {
     /// Serves one whole-waveguide multi-lane pass: each group is one
     /// channel group (a gate design's queued jobs) riding its own
     /// frequency lane, and all of them evaluate through a single
-    /// stacked [`evaluate_fdm_batch`] call — the companion paper's
+    /// stacked [`evaluate_fdm_batch_logic`] call — the companion paper's
     /// multi-frequency parallelism as a drain-path operation. Falls
     /// back to per-request evaluation when the stacked pass fails as a
     /// whole, so errors land only on the requests that earned them.
@@ -974,16 +960,13 @@ impl Worker {
                 sets: lane_sets,
             })
             .collect(); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        let attempt = if self.keep_readouts {
-            evaluate_fdm_batch(&mut lane_batches)
-        } else {
+        let attempt: Result<Vec<Vec<GateOutput>>, GateError> =
             evaluate_fdm_batch_logic(&mut lane_batches).map(|lanes| {
                 lanes
                     .into_iter()
                     .map(|words| words.into_iter().map(GateOutput::logic_only).collect()) // analyze: allow(can-alloc) — per-pass output repack
                     .collect() // analyze: allow(can-alloc) — per-pass output repack
-            })
-        };
+            });
         drop(lane_batches);
         for (&lead, session) in leads.iter().zip(sessions) {
             if let Some(slot) = self.sessions.get_mut(lead) {
@@ -1081,9 +1064,7 @@ impl Worker {
             // analyze: allow(can-alloc) — amortized (staging, as above)
             stage.replies.push((job.gate, job.tag, job.reply));
         }
-        let keep_readouts = self.keep_readouts;
-        let attempt = match self.session_for(lead) {
-            Ok(session) if keep_readouts => session.evaluate_batch(&stage.sets),
+        let attempt: Result<Vec<GateOutput>, GateError> = match self.session_for(lead) {
             Ok(session) => session
                 .evaluate_batch_logic(&stage.sets)
                 // analyze: allow(can-alloc) — per-batch output repack
@@ -1523,7 +1504,6 @@ mod tests {
             linger: Duration::from_micros(50),
             max_batch,
             policy: AdaptiveConfig::off(),
-            keep_readouts: false,
             stats: Arc::new(SharedStats::default()),
             telemetry: Arc::new(Telemetry::new(
                 1,
@@ -1723,7 +1703,6 @@ mod tests {
             std::env::temp_dir().join(format!("magnon_panic_shutdown_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             workers: 2,
             lut_dir: Some(dir.clone()),
             adaptive: AdaptiveConfig::off(),

@@ -25,7 +25,6 @@ const BURST: usize = 256;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         workers: 2,
         max_batch: 128,
         linger: Duration::from_micros(100),

@@ -113,7 +113,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One scheduler serves both plans: the adder's slots start at
     // waveguide 0, the logic unit's directly above them.
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         workers: 2,
         max_batch: 256,
         linger: Duration::from_micros(100),

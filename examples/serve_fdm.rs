@@ -31,7 +31,6 @@ const OPS: [AluOp; 5] = [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::X
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let guide = Waveguide::paper_default()?;
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         workers: 1, // one waveguide — all lanes live on one shard
         max_batch: 256,
         linger: Duration::from_micros(150),

@@ -131,7 +131,6 @@ fn run_client(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         workers: 2,
         max_batch: 256,
         linger: Duration::from_micros(100),

@@ -23,7 +23,6 @@ const ROUNDS: usize = 32;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lut_dir = std::path::PathBuf::from("results/luts");
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         workers: 2,
         max_batch: 256,
         linger: Duration::from_micros(100),

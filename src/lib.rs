@@ -111,14 +111,13 @@
 //! coalesce under a batch-size/linger policy (within a gate *and*
 //! across gates sharing a [`core::gate::WaveguideId`]), and cached
 //! truth-table LUTs persist across restarts. See
-//! `examples/serve_pipeline.rs` and the `serve_throughput` bench.
+//! `examples/serve_pipeline.rs`.
 //!
 //! Whole netlists compile to scheduler-ready plans with
 //! [`compiler::compile`]: ASAP wavefronts, spectrum-aware FDM
 //! placement onto `(waveguide, lane)` slots, and pipelined execution
 //! through [`serve::CircuitExecutor`] with dependency-aware
-//! submission. See `examples/serve_compiled.rs` and the
-//! `serve_circuit` bench.
+//! submission. See `examples/serve_compiled.rs`.
 
 pub use magnon_circuits as circuits;
 pub use magnon_compiler as compiler;

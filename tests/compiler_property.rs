@@ -20,7 +20,6 @@ const WIDTH: usize = 8;
 
 fn quick_config(workers: usize) -> ServeConfig {
     ServeConfig {
-        keep_readouts: false,
         workers,
         max_batch: 64,
         linger: Duration::from_micros(50),

@@ -18,7 +18,6 @@ use std::time::Duration;
 
 fn quick_config(workers: usize) -> ServeConfig {
     ServeConfig {
-        keep_readouts: false,
         workers,
         max_batch: 64,
         linger: Duration::from_micros(50),
@@ -140,8 +139,8 @@ proptest! {
     }
 
     /// With every adaptive policy enabled and aggressive thresholds
-    /// (rebalancing every 8 submissions, fusion from 4 pending jobs,
-    /// linger walking between 10 µs and 1 ms), a hot-waveguide skewed
+    /// (rebalancing every 8 submissions, fusion from 4 pending jobs)
+    /// and a fixed 50 µs linger, a hot-waveguide skewed
     /// stream — ~80 % of requests hammering waveguide 0, the rest
     /// spread over three co-registered waveguides of the same gate
     /// design plus an XOR sharing the hot waveguide — must stay
@@ -173,7 +172,6 @@ proptest! {
                 .unwrap(),
         );
         let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
             workers,
             max_batch: 32,
             linger: Duration::from_micros(50),
@@ -305,7 +303,6 @@ proptest! {
             }
         }
         let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
             linger: Duration::from_micros(200),
             ..quick_config(workers)
         });
@@ -430,7 +427,6 @@ fn shutdown_then_restart_roundtrips_the_lut() {
 
     // Cold run: serve, then persist at shutdown.
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         lut_dir: Some(dir.clone()),
         ..quick_config(2)
     });
@@ -452,7 +448,6 @@ fn shutdown_then_restart_roundtrips_the_lut() {
 
     // Warm restart: entries load, outputs are identical.
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         lut_dir: Some(dir.clone()),
         ..quick_config(2)
     });
@@ -485,7 +480,6 @@ fn corrupted_or_mismatched_lut_files_are_rejected_at_build() {
 
     // Produce a valid file first.
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
         lut_dir: Some(dir.clone()),
         ..quick_config(1)
     });
@@ -511,7 +505,6 @@ fn corrupted_or_mismatched_lut_files_are_rejected_at_build() {
 
     let rebuild = |dir: std::path::PathBuf, gate: ParallelGate| {
         let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
             lut_dir: Some(dir),
             ..quick_config(1)
         });

@@ -201,50 +201,42 @@ fn split_preserves_dense_rows_and_resets_counters() {
     assert!(after.hits > 0);
 }
 
-/// The scheduler's logic-only drain (default `keep_readouts: false`)
-/// stays output-equivalent to sequential evaluation with adaptive
-/// rebalancing on, and tickets carry no per-channel readouts; flipping
-/// `keep_readouts` restores the full analog vector.
+/// The scheduler's logic-only drain stays output-equivalent to
+/// sequential evaluation with adaptive rebalancing on, and tickets
+/// carry no per-channel readouts.
 #[test]
 fn scheduler_logic_only_equivalence_with_rebalancing() {
-    for keep_readouts in [false, true] {
-        let gate = build_gate(8, 3, LogicFunction::Majority);
-        let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts,
-            workers: 2,
-            max_batch: 32,
-            linger: Duration::from_micros(50),
-            queue_depth: 256,
-            lut_dir: None,
-            adaptive: AdaptiveConfig {
-                rebalance: true,
-                rebalance_interval: 8,
-                ..AdaptiveConfig::default()
-            },
-        });
-        let id = builder
-            .register("maj3", gate.clone(), BackendChoice::Cached)
-            .unwrap();
-        let scheduler = builder.build().unwrap();
+    let gate = build_gate(8, 3, LogicFunction::Majority);
+    let mut builder = SchedulerBuilder::new(ServeConfig {
+        workers: 2,
+        max_batch: 32,
+        linger: Duration::from_micros(50),
+        queue_depth: 256,
+        lut_dir: None,
+        adaptive: AdaptiveConfig {
+            rebalance: true,
+            rebalance_interval: 8,
+            ..AdaptiveConfig::default()
+        },
+    });
+    let id = builder
+        .register("maj3", gate.clone(), BackendChoice::Cached)
+        .unwrap();
+    let scheduler = builder.build().unwrap();
 
-        let batch = batch_from_seed(11, 96, 8, 3);
-        let tickets: Vec<Ticket> = batch
-            .iter()
-            .map(|set| scheduler.submit(id, set.clone()).unwrap())
-            .collect();
-        for (ticket, set) in tickets.into_iter().zip(batch.iter()) {
-            let served = ticket.wait().unwrap();
-            let reference = gate.evaluate(set.words()).unwrap();
-            assert_eq!(served.word(), reference.word());
-            if keep_readouts {
-                assert_eq!(served.readouts().len(), 8, "full analog readouts kept");
-            } else {
-                assert!(
-                    served.readouts().is_empty(),
-                    "logic-only drain strips readouts"
-                );
-            }
-        }
-        scheduler.shutdown().unwrap();
+    let batch = batch_from_seed(11, 96, 8, 3);
+    let tickets: Vec<Ticket> = batch
+        .iter()
+        .map(|set| scheduler.submit(id, set.clone()).unwrap())
+        .collect();
+    for (ticket, set) in tickets.into_iter().zip(batch.iter()) {
+        let served = ticket.wait().unwrap();
+        let reference = gate.evaluate(set.words()).unwrap();
+        assert_eq!(served.word(), reference.word());
+        assert!(
+            served.readouts().is_empty(),
+            "logic-only drain strips readouts"
+        );
     }
+    scheduler.shutdown().unwrap();
 }
