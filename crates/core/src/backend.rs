@@ -1000,7 +1000,8 @@ pub struct LaneBatch<'a> {
 }
 
 /// Evaluates several frequency lanes of one waveguide as a single
-/// multi-lane pass (frequency-division multiplexing, arXiv:2008.12220).
+/// multi-lane pass (frequency-division multiplexing, arXiv:2008.12220),
+/// answering bare output words (no readout diagnostics).
 ///
 /// Physically all lanes ride one excitation of the shared medium —
 /// their frequency bands are disjoint, so each gate's detectors see
@@ -1008,8 +1009,9 @@ pub struct LaneBatch<'a> {
 /// channel groups: every lane's shapes are validated up front so a
 /// malformed operand in *any* lane fails the whole batch before any
 /// lane evaluates, then each lane's channel group decodes through its
-/// own compiled prep. Returns one output vector per lane, in lane
-/// order.
+/// own compiled prep via [`GateSession::evaluate_batch_logic`] (the
+/// bit-sliced kernel when the lane's backend is cached). Returns one
+/// output vector per lane, in lane order.
 ///
 /// The all-or-nothing guarantee covers operand-*shape* errors only: a
 /// backend failure mid-pass (possible for engines that can fail at
@@ -1028,27 +1030,6 @@ pub struct LaneBatch<'a> {
 ///   when any lane's operands are malformed (no lane evaluates).
 /// * Backend failures from the first failing lane (earlier lanes have
 ///   evaluated).
-pub fn evaluate_fdm_batch(lanes: &mut [LaneBatch<'_>]) -> Result<Vec<Vec<GateOutput>>, GateError> {
-    for lane in lanes.iter() {
-        for set in lane.sets {
-            lane.session.gate().check_inputs(set.words())?;
-        }
-    }
-    lanes
-        .iter_mut()
-        .map(|lane| lane.session.evaluate_batch(lane.sets))
-        .collect()
-}
-
-/// The logic-only variant of [`evaluate_fdm_batch`]: identical
-/// validation and lane semantics, but each lane answers bare output
-/// words (no readout diagnostics) through
-/// [`GateSession::evaluate_batch_logic`] — per-lane batches ride the
-/// bit-sliced kernel when the lane's backend is cached.
-///
-/// # Errors
-///
-/// Same conditions as [`evaluate_fdm_batch`].
 pub fn evaluate_fdm_batch_logic(lanes: &mut [LaneBatch<'_>]) -> Result<Vec<Vec<Word>>, GateError> {
     for lane in lanes.iter() {
         for set in lane.sets {
@@ -1258,7 +1239,7 @@ mod tests {
             .into_iter()
             .map(|s| OperandSet::new(s.words()[..2].to_vec()))
             .collect();
-        let outputs = evaluate_fdm_batch(&mut [
+        let outputs = evaluate_fdm_batch_logic(&mut [
             LaneBatch {
                 session: &mut maj_session,
                 sets: &maj_sets,
@@ -1271,10 +1252,10 @@ mod tests {
         .unwrap();
         assert_eq!(outputs.len(), 2);
         for (out, set) in outputs[0].iter().zip(&maj_sets) {
-            assert_eq!(out.word(), maj.evaluate(set.words()).unwrap().word());
+            assert_eq!(*out, maj.evaluate(set.words()).unwrap().word());
         }
         for (out, set) in outputs[1].iter().zip(&xor_sets) {
-            assert_eq!(out.word(), xor.evaluate(set.words()).unwrap().word());
+            assert_eq!(*out, xor.evaluate(set.words()).unwrap().word());
         }
         assert_eq!(maj_session.sets_evaluated(), 5);
         assert_eq!(xor_session.sets_evaluated(), 3);
@@ -1282,7 +1263,7 @@ mod tests {
         // A malformed operand in the SECOND lane fails the whole pass
         // before the first lane evaluates anything.
         let bad = vec![OperandSet::new(vec![Word::from_u8(1)])];
-        let err = evaluate_fdm_batch(&mut [
+        let err = evaluate_fdm_batch_logic(&mut [
             LaneBatch {
                 session: &mut maj_session,
                 sets: &maj_sets,

@@ -69,24 +69,6 @@ pub mod mpsc {
 #[cfg(not(mcheck))]
 pub mod thread {
     pub use std::thread::*;
-
-    /// Sets this thread's timer slack to 1 µs on Linux (a no-op elsewhere),
-    /// so a 10 µs timed wait parks ~17 µs, not ~67 µs with the default 50 µs.
-    /// The slack is per thread: call it only on threads the library spawned.
-    pub fn tighten_timer_slack() {
-        #[cfg(target_os = "linux")]
-        {
-            use std::ffi::{c_int, c_ulong};
-            // SAFETY: the libc `prctl` signature; std already links libc.
-            unsafe extern "C" {
-                fn prctl(option: c_int, ...) -> c_int;
-            }
-            const PR_SET_TIMERSLACK: c_int = 29;
-            // SAFETY: PR_SET_TIMERSLACK reads one unsigned long and sets
-            // only this thread's slack; on failure the slack stays.
-            unsafe { prctl(PR_SET_TIMERSLACK, 1_000 as c_ulong) };
-        }
-    }
 }
 
 /// Monotonic time: `std::time` re-exported (`Instant` is virtualized

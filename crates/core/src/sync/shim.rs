@@ -917,9 +917,6 @@ pub mod thread {
             std::thread::yield_now();
         }
     }
-
-    /// No-op: timed waits run on the virtual clock, which has no slack.
-    pub fn tighten_timer_slack() {}
 }
 
 // ---------------------------------------------------------------------------

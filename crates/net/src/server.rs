@@ -44,9 +44,9 @@ pub struct NetServerConfig {
     pub completion_timeout: Duration,
     /// Backoff hint carried on retry-after frames.
     pub retry_hint: Duration,
-    /// Writer-pump poll cadence while completions are pending. The pump keeps
-    /// the default 50 µs timer slack, so on Linux the real cadence is the
-    /// interval plus that slack (~157 µs at 100 µs) while completions are polled.
+    /// Writer-pump poll cadence while completions are pending. On Linux
+    /// the real cadence is the interval plus the thread's timer slack
+    /// (50 µs by default; ~157 µs at 100 µs).
     pub poll_interval: Duration,
     /// Socket read timeout on connection readers, so they notice the
     /// stop flag while idle.

@@ -22,11 +22,12 @@
 //! ```
 //!
 //! A worker drains its queue in cycles: it blocks on the first request,
-//! then keeps collecting until the fixed linger window
-//! ([`ServeConfig::linger`]) closes or the batch cap is reached, sweeps
-//! whatever is already queued, groups what it got, and issues one
-//! [`GateSession::evaluate_batch`] per group. Because routing is by
-//! [`WaveguideId`] and [`LaneId`], a drain cycle naturally coalesces
+//! sweeps whatever is already queued (up to the batch cap), groups what
+//! it got, and issues one [`GateSession::evaluate_batch`] per group.
+//! With the default zero [`ServeConfig::linger`] there is no timed
+//! wait: a lone request is served on arrival, and a backlog that built
+//! up while the worker was busy forms the next batch. Because routing
+//! is by [`WaveguideId`] and [`LaneId`], a drain cycle naturally coalesces
 //! requests across *different* gates sharing a waveguide — the
 //! cross-gate data parallelism of the companion paper
 //! (arXiv:2008.12220) — while requests for the same gate ride one
@@ -117,10 +118,11 @@ pub struct ServeConfig {
     /// degenerate every drain to a batch of one.
     pub max_batch: usize,
     /// Linger: how long a worker keeps collecting after the first
-    /// request of a drain cycle, trading latency for batch size. A
-    /// fixed window; requests already queued when it closes still join
-    /// the drain. It is a timed park; workers run with 1 µs timer slack,
-    /// so on Linux 10 µs is served as ~17 µs, not ~67 µs (50 µs default).
+    /// request of a drain cycle, trading latency for batch size.
+    /// Requests already queued when it closes still join the drain. The
+    /// default, zero, serves what is queued with no timed wait. A
+    /// nonzero window is a timed park, which overshoots by the thread's
+    /// timer slack (50 µs by default on Linux).
     pub linger: Duration,
     /// Bound of each shard's request queue; blocking submission applies
     /// backpressure when full.
@@ -139,7 +141,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             max_batch: 256,
-            linger: Duration::from_micros(10),
+            linger: Duration::ZERO,
             queue_depth: 1024,
             lut_dir: None,
             adaptive: AdaptiveConfig::default(),
@@ -611,7 +613,6 @@ struct WorkerReport {
 
 impl Worker {
     fn run(mut self) -> WorkerReport {
-        thread::tighten_timer_slack();
         let mut pending: Vec<EvalJob> = Vec::with_capacity(self.max_batch);
         loop {
             // Block for the cycle's first request; a closed queue is
@@ -620,7 +621,8 @@ impl Worker {
                 Ok(job) => pending.push(job),
                 Err(_) => break,
             }
-            // Linger: keep collecting so concurrent submitters coalesce.
+            // Linger (zero by default): keep collecting so concurrent
+            // submitters coalesce.
             let deadline = Instant::now() + self.linger;
             while pending.len() < self.max_batch {
                 let now = Instant::now();
@@ -1464,7 +1466,11 @@ mod tests {
     /// directly. It serves two gates on lanes 0 and 1 of waveguide 0, so
     /// a drain touching both stacks them into one FDM pass: gate 0 is a
     /// 3-input majority, gate 1 a 2-input XOR on lane 1's band.
-    fn test_worker(max_batch: usize, queue_depth: usize) -> (SyncSender<EvalJob>, Worker) {
+    fn test_worker(
+        max_batch: usize,
+        queue_depth: usize,
+        linger: Duration,
+    ) -> (SyncSender<EvalJob>, Worker) {
         let maj = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
             .channels(8)
             .inputs(3)
@@ -1501,13 +1507,13 @@ mod tests {
             sessions,
             templates: Arc::new(templates),
             meta: Arc::new(vec![meta(0), meta(1)]),
-            linger: Duration::from_micros(50),
+            linger,
             max_batch,
             policy: AdaptiveConfig::off(),
             stats: Arc::new(SharedStats::default()),
             telemetry: Arc::new(Telemetry::new(
                 1,
-                Duration::from_micros(50),
+                linger,
                 vec![
                     (WaveguideId(0), LaneId(0), 0),
                     (WaveguideId(0), LaneId(1), 0),
@@ -1524,7 +1530,7 @@ mod tests {
         // request carries a third operand for its 2-input gate, so the
         // stacked validation rejects the whole pass and every request
         // is retried on its own gate: only the offender may fail.
-        let (_tx, mut worker) = test_worker(64, 4);
+        let (_tx, mut worker) = test_worker(64, 4, Duration::from_micros(50));
         let (reply, completions) = mpsc::sync_channel(16);
         let malformed = 9u64;
         let mut pending = Vec::new();
@@ -1586,7 +1592,7 @@ mod tests {
         // sweep must answer all of them, flushing mid-drain every time
         // the collection reaches max_batch instead of growing one
         // oversized batch.
-        let (tx, mut worker) = test_worker(4, 16);
+        let (tx, mut worker) = test_worker(4, 16, Duration::from_micros(50));
         // One reply sender shared by every job: it needs a slot per
         // answer, since the worker's `try_send` never waits for room.
         let (reply, completions) = mpsc::sync_channel(16);
@@ -1625,7 +1631,7 @@ mod tests {
         // The whole worker loop: jobs buffered at spawn time with the
         // sender already gone must all be answered and the session's
         // LUT must survive into the worker report.
-        let (tx, worker) = test_worker(4, 16);
+        let (tx, worker) = test_worker(4, 16, Duration::from_micros(50));
         // Shared reply sender: one slot per answer (see above).
         let (reply, completions) = mpsc::sync_channel(16);
         for tag in 0..7u64 {
@@ -1655,42 +1661,43 @@ mod tests {
         );
     }
 
-    /// The calling thread's timer slack. procfs serves it only at the
-    /// top level, as `/proc/<tid>/timerslack_ns`, and a thread may read
-    /// its own without any capability.
-    #[cfg(all(target_os = "linux", not(mcheck)))]
-    fn own_timer_slack_ns() -> u64 {
-        let link = std::fs::read_link("/proc/thread-self").unwrap();
-        let tid = link.file_name().unwrap().to_str().unwrap();
-        let path = format!("/proc/{tid}/timerslack_ns");
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{path}: {e}"))
-            .trim()
-            .parse()
-            .unwrap()
-    }
-
     #[test]
-    #[cfg(all(target_os = "linux", not(mcheck)))]
-    fn a_worker_runs_with_one_microsecond_timer_slack_and_its_caller_keeps_its_own() {
-        // The linger window is a timed park, so the worker thread must
-        // drop Linux's default 50 µs slack; the thread that spawned it
-        // must keep whatever slack it had.
-        let caller_before = own_timer_slack_ns();
-        let (tx, worker) = test_worker(4, 4);
+    fn zero_linger_serves_a_queued_backlog_in_one_drain_and_waits_for_more() {
+        // The default path: with no linger window, the worker blocks for
+        // the first job, sweeps the three already queued behind it and
+        // serves all four in one drain. The sender stays open, so it
+        // must then block for more rather than exit.
+        let (tx, worker) = test_worker(8, 8, Duration::ZERO);
+        let stats = Arc::clone(&worker.stats);
+        let (reply, completions) = mpsc::sync_channel(4);
+        for tag in 0..4u64 {
+            tx.send(EvalJob {
+                gate: 0,
+                tag,
+                set: sample_set(tag),
+                reply: reply.clone(),
+            })
+            .unwrap();
+        }
+        drop(reply);
+        let handle = thread::spawn(move || worker.run());
+        let mut tags: Vec<u64> = (0..4)
+            .map(|_| {
+                let (tag, result) = completions.recv().unwrap();
+                result.expect("queued job must be served");
+                tag
+            })
+            .collect();
+        tags.sort_unstable();
+        assert_eq!(tags, (0..4).collect::<Vec<_>>());
+        assert!(!handle.is_finished(), "an open sender must keep the worker");
         drop(tx);
-        let worker_slack = thread::spawn(move || {
-            worker.run();
-            own_timer_slack_ns()
-        })
-        .join()
-        .unwrap();
-        assert_eq!(worker_slack, 1_000, "the worker must run with 1 µs slack");
-        assert_eq!(
-            own_timer_slack_ns(),
-            caller_before,
-            "running a worker must not retune the spawning thread's slack"
-        );
+        handle.join().unwrap();
+        // Read after the join: the drain records its stats after it
+        // answers.
+        let snapshot = stats.snapshot();
+        assert_eq!(snapshot.drain_passes, 1, "one sweep, one drain");
+        assert_eq!(snapshot.completed, 4);
     }
 
     #[test]

@@ -92,14 +92,20 @@ proptest! {
 
     /// Scheduler-served answers equal sequential `ParallelGate::evaluate`
     /// for randomized interleaved multi-gate streams, with every tag
-    /// preserved and completions redeemable in any order.
+    /// preserved and completions redeemable in any order, both on the
+    /// default zero linger and with a 50 µs window.
     #[test]
     fn scheduler_matches_sequential_for_interleaved_streams(
         seeds in proptest::collection::vec(0u64..u64::MAX, 4..48),
         workers in 1usize..5,
+        lingers in any::<bool>(),
     ) {
         let gates = stream_gates();
-        let mut builder = SchedulerBuilder::new(quick_config(workers));
+        let linger = if lingers { Duration::from_micros(50) } else { Duration::ZERO };
+        let mut builder = SchedulerBuilder::new(ServeConfig {
+            linger,
+            ..quick_config(workers)
+        });
         let ids = [
             builder.register("maj3", gates[0].clone(), BackendChoice::Cached).unwrap(),
             builder.register("xor2", gates[1].clone(), BackendChoice::Analytic).unwrap(),
