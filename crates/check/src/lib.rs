@@ -19,9 +19,9 @@
 //! * `scenarios` — the serving-stack invariant suite (every ticket
 //!   completes exactly once, the queue gauge never goes negative and
 //!   drains to zero, shutdown joins all workers under an injected
-//!   panic, timed-out tickets stay redeemable, rebalancer moves lose
-//!   nothing, and the executor's harvest park loop never loses a
-//!   wakeup).
+//!   panic, timed-out tickets stay redeemable, the executor's harvest
+//!   park loop never loses a wakeup, and connection reaping joins
+//!   every handle outside the registry lock).
 //!
 //! Run it:
 //!

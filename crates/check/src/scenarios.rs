@@ -17,8 +17,6 @@
 //!   must not detach the surviving workers or hang `shutdown`.
 //! * [`timed_out_ticket_redeems`] — a ticket whose timed wait expires
 //!   is not lost; the completion is still redeemable.
-//! * [`rebalance_no_loss_no_dup`] — placement moves under skewed
-//!   traffic neither lose nor duplicate a request.
 //! * [`executor_pipeline_completes`] — the pipelined circuit executor's
 //!   park/harvest loop completes every plan against the reference even
 //!   when completions land out of order behind a slow head ticket.
@@ -34,9 +32,7 @@ use magnon_core::sync::time::Duration;
 use magnon_core::sync::{thread, Arc};
 use magnon_core::word::Word;
 use magnon_physics::waveguide::Waveguide;
-use magnon_serve::{
-    register_compiled, AdaptiveConfig, CircuitExecutor, SchedulerBuilder, ServeConfig, ServeError,
-};
+use magnon_serve::{register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig, ServeError};
 
 /// Scenario registry: `(name, body)`, the CLI's `--scenario` namespace.
 /// [`racy_counter`] is deliberately absent — it is the broken self-test
@@ -50,7 +46,6 @@ pub fn all() -> &'static [(&'static str, fn())] {
             shutdown_joins_despite_worker_panic as fn(),
         ),
         ("ticket-timeout-redeem", timed_out_ticket_redeems as fn()),
-        ("rebalance-no-loss", rebalance_no_loss_no_dup as fn()),
         ("executor-pipeline", executor_pipeline_completes as fn()),
         ("net-reap-outside-lock", net_reap_outside_lock as fn()),
     ]
@@ -87,8 +82,7 @@ fn maj_gate(waveguide_id: u64) -> ParallelGate {
         .expect("byte majority gate")
 }
 
-/// Small-config serving: adaptive policies off (the adaptive scenarios
-/// turn on exactly what they test), short linger, shallow queues.
+/// Small-config serving: short linger, shallow queues.
 fn small_config(workers: usize) -> ServeConfig {
     ServeConfig {
         workers,
@@ -96,7 +90,6 @@ fn small_config(workers: usize) -> ServeConfig {
         linger: Duration::from_micros(50),
         queue_depth: 4,
         lut_dir: None,
-        adaptive: AdaptiveConfig::off(),
     }
 }
 
@@ -240,70 +233,6 @@ pub fn timed_out_ticket_redeems() {
         }
         Err(e) => panic!("unexpected ticket error: {e}"),
     }
-    scheduler.shutdown().expect("clean shutdown");
-}
-
-/// Skewed traffic with the rebalancer on a hair trigger: placement
-/// moves must neither lose nor duplicate a request, and every
-/// completion must carry the right word.
-pub fn rebalance_no_loss_no_dup() {
-    let mut builder = SchedulerBuilder::new(ServeConfig {
-        adaptive: AdaptiveConfig {
-            rebalance: true,
-            rebalance_interval: 2,
-            rebalance_ratio: 1.5,
-            fusion: false,
-            ..AdaptiveConfig::default()
-        },
-        ..small_config(2)
-    });
-    // Waveguides 0 and 4 start co-tenant on one shard of two (the
-    // static mix places them together), so a hot/cold skew gives the
-    // rebalancer a move to make mid-traffic.
-    let hot = builder
-        .register("maj_hot", maj_gate(0), BackendChoice::Analytic)
-        .expect("register hot");
-    let cold = builder
-        .register("maj_cold", maj_gate(4), BackendChoice::Analytic)
-        .expect("register cold");
-    let scheduler = Arc::new(builder.build().expect("build scheduler"));
-    assert_eq!(
-        scheduler.shard_of(hot),
-        scheduler.shard_of(cold),
-        "precondition: co-tenant start"
-    );
-    let hot_submitter = {
-        let scheduler = Arc::clone(&scheduler);
-        thread::spawn(move || {
-            for i in 0..6u64 {
-                let set = operand_set(100 + i);
-                let expected = maj3_reference(&set);
-                let ticket = scheduler.submit(hot, set).expect("hot submit");
-                assert_eq!(
-                    ticket.wait().expect("hot completion").word().to_u8(),
-                    expected
-                );
-            }
-        })
-    };
-    for i in 0..2u64 {
-        let set = operand_set(200 + i);
-        let expected = maj3_reference(&set);
-        let ticket = scheduler.submit(cold, set).expect("cold submit");
-        assert_eq!(
-            ticket.wait().expect("cold completion").word().to_u8(),
-            expected
-        );
-    }
-    hot_submitter.join().expect("hot submitter must not panic");
-    let stats = scheduler.stats();
-    assert_eq!(stats.submitted, 8);
-    assert_eq!(
-        stats.completed, 8,
-        "a placement move lost or duplicated a request"
-    );
-    assert_eq!(stats.failed, 0);
-    let scheduler = Arc::into_inner(scheduler).expect("submitter dropped its handle");
     scheduler.shutdown().expect("clean shutdown");
 }
 

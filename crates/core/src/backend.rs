@@ -1020,8 +1020,7 @@ pub struct LaneBatch<'a> {
 /// once-only semantics must re-drive per request on error, which is
 /// what the serving runtime's fallback does. That runtime also never
 /// stacks micromagnetic lanes in the first place (their time-domain
-/// simulation is per-gate, mirroring the no-fusion rule for
-/// fingerprint batching); this function leaves that exclusion to the
+/// simulation is per-gate); this function leaves that exclusion to the
 /// caller.
 ///
 /// # Errors

@@ -247,43 +247,6 @@ impl EnginePrep {
         self.factors.len()
     }
 
-    /// FNV-1a hash over everything a readout computes from: the
-    /// function, the compiled per-channel phasor factors, constructive
-    /// references, inversion flags and carrier frequencies. Two preps
-    /// with equal fingerprints produce bitwise-identical outputs for
-    /// identical operands — whatever builder parameters (waveguide,
-    /// dispersion model, layout, equalization, readout modes) they were
-    /// compiled from.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        fn eat(mut h: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        h = eat(h, &[self.function as u8]);
-        h = eat(h, &(self.input_count() as u32).to_le_bytes());
-        h = eat(h, &(self.factors.len() as u32).to_le_bytes());
-        for per_input in &self.factors {
-            for factor in per_input {
-                h = eat(h, &factor.re.to_bits().to_le_bytes());
-                h = eat(h, &factor.im.to_bits().to_le_bytes());
-            }
-        }
-        for reference in &self.references {
-            h = eat(h, &reference.to_bits().to_le_bytes());
-        }
-        for &inv in &self.inverted {
-            h = eat(h, &[inv as u8]);
-        }
-        for f in &self.frequencies {
-            h = eat(h, &f.to_bits().to_le_bytes());
-        }
-        h
-    }
-
     /// Operand count `m`.
     pub(crate) fn input_count(&self) -> usize {
         self.factors.first().map_or(0, Vec::len)

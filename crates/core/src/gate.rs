@@ -411,18 +411,6 @@ impl ParallelGate {
         &self.prep
     }
 
-    /// Fingerprint of what this gate *computes*: a hash over the
-    /// compiled evaluation state (function, per-channel phasor
-    /// factors, constructive references, readout inversions, carrier
-    /// frequencies). Two gates with equal fingerprints produce
-    /// bitwise-identical outputs for identical operands, whatever
-    /// builder parameters they came from — the serving runtime uses
-    /// this to decide which gates' requests may fuse into one batch.
-    /// The [`WaveguideId`] deliberately does not participate.
-    pub fn design_fingerprint(&self) -> u64 {
-        self.prep.fingerprint()
-    }
-
     /// Validates operand shape against the gate.
     ///
     /// # Errors

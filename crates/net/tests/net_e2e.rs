@@ -9,7 +9,7 @@ use magnon_net::{
     NET_VERSION,
 };
 use magnon_physics::waveguide::Waveguide;
-use magnon_serve::{AdaptiveConfig, Scheduler, SchedulerBuilder, ServeConfig};
+use magnon_serve::{Scheduler, SchedulerBuilder, ServeConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -39,7 +39,6 @@ fn quick_serve_config() -> ServeConfig {
         linger: Duration::from_micros(100),
         queue_depth: 256,
         lut_dir: None,
-        adaptive: AdaptiveConfig::default(),
     }
 }
 
@@ -467,7 +466,6 @@ fn backpressure_surfaces_as_retry_after_and_still_completes() {
         linger: Duration::from_micros(500),
         queue_depth: 1,
         lut_dir: None,
-        adaptive: AdaptiveConfig::off(),
     });
     let reference: Vec<ParallelGate> = (0..scheduler.gate_count())
         .map(|i| {

@@ -9,16 +9,14 @@
 //! * [`Scheduler`] — accepts tagged evaluation requests on bounded
 //!   per-shard queues, coalesces them under a batch-size/linger policy
 //!   and answers through [`Ticket`]s;
-//! * **waveguide-aware sharding** — requests route by their gate's
-//!   [`magnon_core::gate::WaveguideId`], so gates sharing a waveguide
-//!   land on one shard and batch *across gates* in a single drain
-//!   cycle, while `N` workers each own independent backend splits
-//!   ([`magnon_core::backend::SpinWaveBackend::split`]);
-//! * **load-adaptive policies** ([`AdaptiveConfig`], fed by the
-//!   lock-free [`telemetry`] counters) — a placement table that moves
-//!   co-tenant waveguides off hot shards, and fusion of
-//!   design-compatible requests across *different* waveguides into one
-//!   batch when drains run deep;
+//! * **static waveguide-aware sharding** — each gate lives on the one
+//!   shard its [`magnon_core::gate::WaveguideId`] hashes to at build
+//!   time, so gates sharing a waveguide batch *across gates* in a
+//!   single drain cycle, and the frequency lanes of one waveguide stack
+//!   into one multi-lane FDM pass; `N` workers each own the backend
+//!   sessions of their gates;
+//! * **lock-free [`telemetry`]** — per-shard queue, drain and LUT
+//!   gauges and per-lane served counters, read as one snapshot;
 //! * [`ScheduledBank`] — plugs the scheduler into circuit evaluation
 //!   ([`magnon_circuits::netlist::GateDispatcher`]), so adders, ALUs
 //!   and parity trees ride the same coalescing;
@@ -85,7 +83,7 @@ pub use error::ServeError;
 pub use pipeline::{register_compiled, CircuitExecutor, CompiledGates};
 pub use request::{GateId, SchedulerStats, Ticket};
 pub use scheduler::{Scheduler, SchedulerBuilder, ServeConfig, ShutdownReport};
-pub use telemetry::{AdaptiveConfig, LaneTelemetry, ShardTelemetry, TelemetrySnapshot};
+pub use telemetry::{LaneTelemetry, ShardTelemetry, TelemetrySnapshot};
 
 #[cfg(test)]
 mod tests {
@@ -104,7 +102,6 @@ mod tests {
             linger: Duration::from_micros(100),
             queue_depth: 256,
             lut_dir: None,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 
@@ -332,7 +329,6 @@ mod tests {
             linger: Duration::from_millis(50),
             queue_depth: 1,
             lut_dir: None,
-            adaptive: AdaptiveConfig::default(),
         });
         let id = builder
             .register("maj3", gate, BackendChoice::Analytic)
@@ -373,7 +369,6 @@ mod tests {
             linger: Duration::ZERO,
             queue_depth: 1,
             lut_dir: None,
-            adaptive: AdaptiveConfig::off(),
         });
         let id = builder
             .register("maj3", gate, BackendChoice::Cached)
@@ -431,10 +426,7 @@ mod tests {
     #[test]
     fn static_placement_spreads_even_waveguide_ids_over_two_shards() {
         let guide = Waveguide::paper_default().unwrap();
-        let mut builder = SchedulerBuilder::new(ServeConfig {
-            adaptive: AdaptiveConfig::off(),
-            ..quick_config(2)
-        });
+        let mut builder = SchedulerBuilder::new(quick_config(2));
         let ids: Vec<GateId> = [0u64, 2, 4, 6]
             .iter()
             .map(|&wg| {
@@ -466,20 +458,10 @@ mod tests {
     }
 
     #[test]
-    fn rebalancing_moves_the_cotenant_off_a_hot_shard() {
+    fn placement_stays_static_under_skewed_traffic() {
         let guide = Waveguide::paper_default().unwrap();
-        // Waveguides 0 and 4 statically hash to the same shard of 2.
-        let mut builder = SchedulerBuilder::new(ServeConfig {
-            workers: 2,
-            adaptive: AdaptiveConfig {
-                rebalance: true,
-                rebalance_interval: 8,
-                rebalance_ratio: 1.5,
-                fusion: false,
-                ..AdaptiveConfig::default()
-            },
-            ..quick_config(2)
-        });
+        // Waveguides 0 and 4 hash to the same shard of 2.
+        let mut builder = SchedulerBuilder::new(quick_config(2));
         let make = |wg: u64| {
             ParallelGateBuilder::new(guide)
                 .channels(8)
@@ -495,10 +477,11 @@ mod tests {
             .register("maj_cold", make(4), BackendChoice::Cached)
             .unwrap();
         let scheduler = builder.build().unwrap();
+        let built = scheduler.telemetry().lanes;
         assert_eq!(
             scheduler.shard_of(hot),
             scheduler.shard_of(cold),
-            "precondition: both waveguides start co-tenant"
+            "precondition: both waveguides are co-tenant"
         );
         // 7/8 of the traffic hammers the hot waveguide.
         let sets = sample_sets(64, 3);
@@ -513,15 +496,15 @@ mod tests {
             assert_eq!(output.word(), reference.word());
         }
         let telemetry = scheduler.telemetry();
-        assert!(
-            telemetry.rebalances >= 1,
-            "skewed traffic must trigger a placement move: {telemetry:?}"
-        );
-        assert_ne!(
+        assert_eq!(
             scheduler.shard_of(hot),
             scheduler.shard_of(cold),
-            "the cold co-tenant must move off the hot shard: {telemetry:?}"
+            "skewed traffic must not split the co-tenants: {telemetry:?}"
         );
+        assert_eq!(telemetry.rebalances, 0, "{telemetry:?}");
+        for (lane, at_build) in telemetry.lanes.iter().zip(&built) {
+            assert_eq!(lane.shard, at_build.shard, "lane moved: {telemetry:?}");
+        }
         scheduler.shutdown().unwrap();
     }
 
@@ -530,9 +513,8 @@ mod tests {
         use magnon_core::gate::LaneId;
         // The FDM acceptance shape: a majority gate on waveguide 0 lane
         // 0 (the paper's 10–80 GHz band) and an XOR on the SAME
-        // waveguide, lane 1 (100 GHz band). Fingerprint fusion is off —
-        // the designs differ anyway — so any coalescing across the two
-        // gates can only come from multi-lane FDM stacking.
+        // waveguide, lane 1 (100 GHz band). Any coalescing across the
+        // two gates can only come from multi-lane FDM stacking.
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
             workers: 1,
@@ -540,7 +522,6 @@ mod tests {
             linger: Duration::from_millis(2),
             queue_depth: 256,
             lut_dir: None,
-            adaptive: AdaptiveConfig::off(),
         });
         let maj = builder
             .register("maj_lane0", byte_majority(), BackendChoice::Cached)
@@ -578,7 +559,6 @@ mod tests {
         let stats = scheduler.stats();
         assert_eq!(stats.completed, 32);
         assert_eq!(stats.failed, 0);
-        assert_eq!(stats.fused_batches, 0, "no fingerprint fusion here");
         assert!(
             stats.fdm_batches >= 1 && stats.fdm_lanes >= 2 && stats.fdm_requests > 0,
             "two lanes of one waveguide must stack into a multi-lane drain: {stats:?}"
@@ -705,7 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn deep_drains_fuse_compatible_gates_across_waveguides() {
+    fn same_design_gates_on_different_waveguides_serve_as_separate_batches() {
+        // Two identical designs on waveguides 0 and 1, one worker, a
+        // long linger: drains mix both gates, and each gate's requests
+        // ride their own batch — never one shared session's batch.
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
             workers: 1,
@@ -713,12 +696,6 @@ mod tests {
             linger: Duration::from_millis(2),
             queue_depth: 256,
             lut_dir: None,
-            adaptive: AdaptiveConfig {
-                fusion: true,
-                fusion_threshold: 2,
-                rebalance: false,
-                ..AdaptiveConfig::default()
-            },
         });
         let make = |wg: u64| {
             ParallelGateBuilder::new(guide)
@@ -749,9 +726,10 @@ mod tests {
         let stats = scheduler.stats();
         assert_eq!(stats.completed, 32);
         assert_eq!(stats.failed, 0);
+        assert_eq!(stats.fused_requests, 0, "{stats:?}");
         assert!(
-            stats.fused_batches >= 1 && stats.fused_requests > 0,
-            "interleaved same-design traffic on one shard must fuse: {stats:?}"
+            stats.cross_gate_passes >= 1 && stats.batches >= 2,
+            "a drain must serve both gates as separate batches: {stats:?}"
         );
         scheduler.shutdown().unwrap();
     }
@@ -765,12 +743,6 @@ mod tests {
             linger: Duration::from_millis(2),
             queue_depth: 256,
             lut_dir: None,
-            adaptive: AdaptiveConfig {
-                fusion: true,
-                fusion_threshold: 2,
-                rebalance: false,
-                ..AdaptiveConfig::default()
-            },
         });
         let maj = builder
             .register("maj3", byte_majority(), BackendChoice::Cached)
@@ -802,9 +774,10 @@ mod tests {
         }
         let stats = scheduler.stats();
         assert_eq!(
-            stats.fused_batches, 0,
+            stats.fused_requests, 0,
             "MAJ and XOR must not fuse: {stats:?}"
         );
+        assert_eq!(stats.completed, 32);
         assert_eq!(stats.failed, 0);
         scheduler.shutdown().unwrap();
     }
@@ -856,7 +829,6 @@ mod tests {
             workers: 1,
             max_batch: 8,
             linger: Duration::from_secs(5),
-            adaptive: AdaptiveConfig::off(),
             ..ServeConfig::default()
         });
         let id = builder

@@ -266,8 +266,8 @@ impl<'a> CircuitExecutor<'a> {
             // cycles in near-submission order, so the oldest usually
             // lands first), then sweep EVERY in-flight ticket without
             // blocking. The sweep must not stop at the first pending
-            // ticket: fused and FDM drains complete requests out of
-            // submission order, so a slow head can hide finished
+            // ticket: per-gate groups and FDM passes complete requests
+            // out of submission order, so a slow head can hide finished
             // tickets behind it — and the dependents those completions
             // would unlock sit unsubmitted for a full park per round.
             // (The model checker's executor-pipeline scenario caught
@@ -431,7 +431,6 @@ impl<'a> CircuitExecutor<'a> {
 mod tests {
     use super::*;
     use crate::scheduler::ServeConfig;
-    use crate::AdaptiveConfig;
     use magnon_circuits::netlist::Circuit;
     use magnon_compiler::{compile, CompilerConfig};
 
@@ -442,7 +441,6 @@ mod tests {
             linger: Duration::from_micros(50),
             queue_depth: 256,
             lut_dir: None,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 

@@ -121,8 +121,6 @@ pub(crate) struct SharedStats {
     pub coalesced_requests: AtomicU64,
     pub cross_gate_passes: AtomicU64,
     pub max_drain: AtomicU64,
-    pub fused_batches: AtomicU64,
-    pub fused_requests: AtomicU64,
     pub fdm_batches: AtomicU64,
     pub fdm_lanes: AtomicU64,
     pub fdm_requests: AtomicU64,
@@ -131,7 +129,7 @@ pub(crate) struct SharedStats {
 impl SharedStats {
     /// Records one drain cycle: `requests` served through `batches`
     /// `evaluate_batch` calls spanning `gates_touched` distinct gates
-    /// (fusion can make `batches < gates_touched`).
+    /// (an FDM pass can make `batches < gates_touched`).
     pub fn record_drain(&self, requests: u64, batches: u64, gates_touched: u64) {
         // ordering: Relaxed — monotonic stat counters; the reply
         // channel orders the result delivery, nothing synchronizes
@@ -148,14 +146,6 @@ impl SharedStats {
         }
         // ordering: Relaxed — monotonic high-water mark, stat only.
         self.max_drain.fetch_max(requests, Ordering::Relaxed);
-    }
-
-    /// Records one fused batch: `requests` jobs for two or more
-    /// distinct gates evaluated through a single compatible session.
-    pub fn record_fusion(&self, requests: u64) {
-        // ordering: Relaxed — monotonic stat counters, dashboards only.
-        self.fused_batches.fetch_add(1, Ordering::Relaxed);
-        self.fused_requests.fetch_add(requests, Ordering::Relaxed);
     }
 
     /// Records one multi-lane FDM pass: `requests` jobs across `lanes`
@@ -182,8 +172,7 @@ impl SharedStats {
             // ordering: Relaxed — same snapshot contract as above.
             cross_gate_passes: self.cross_gate_passes.load(Ordering::Relaxed),
             max_drain: self.max_drain.load(Ordering::Relaxed),
-            fused_batches: self.fused_batches.load(Ordering::Relaxed),
-            fused_requests: self.fused_requests.load(Ordering::Relaxed),
+            fused_requests: 0,
             fdm_batches: self.fdm_batches.load(Ordering::Relaxed),
             fdm_lanes: self.fdm_lanes.load(Ordering::Relaxed),
             fdm_requests: self.fdm_requests.load(Ordering::Relaxed),
@@ -204,7 +193,8 @@ pub struct SchedulerStats {
     /// Worker drain cycles (each serves everything queued at that
     /// moment, up to the batch cap).
     pub drain_passes: u64,
-    /// `evaluate_batch` calls issued (one per gate touched per drain).
+    /// Evaluation calls issued: one per gate touched per drain, except
+    /// that an FDM pass serves several lanes' gates in one call.
     pub batches: u64,
     /// Requests that shared their drain cycle with at least one other
     /// request — the coalescing win.
@@ -214,11 +204,10 @@ pub struct SchedulerStats {
     pub cross_gate_passes: u64,
     /// Largest single drain observed.
     pub max_drain: u64,
-    /// Cross-waveguide fused batches issued: one `evaluate_batch` call
-    /// carrying requests for two or more distinct (but
-    /// design-compatible) gates.
-    pub fused_batches: u64,
-    /// Requests that rode a fused batch.
+    /// Always 0: requests for different gates never share one session's
+    /// batch (FDM stacking is how gates coalesce). Kept only because the
+    /// `perfbench` benchmark still reads it; it goes when that read
+    /// does.
     pub fused_requests: u64,
     /// Multi-lane FDM passes issued: one stacked evaluation carrying
     /// two or more frequency lanes of a single waveguide
@@ -250,17 +239,15 @@ mod tests {
         let stats = SharedStats::default();
         stats.record_drain(1, 1, 1);
         stats.record_drain(7, 2, 2);
-        // A fused drain: 5 requests for 3 gates served as 1 batch.
+        // An FDM drain: 5 requests for 3 lanes' gates served as 1 batch.
         stats.record_drain(5, 1, 3);
-        stats.record_fusion(5);
         let snap = stats.snapshot();
         assert_eq!(snap.drain_passes, 3);
         assert_eq!(snap.batches, 4);
         assert_eq!(snap.coalesced_requests, 12);
         assert_eq!(snap.cross_gate_passes, 2);
         assert_eq!(snap.max_drain, 7);
-        assert_eq!(snap.fused_batches, 1);
-        assert_eq!(snap.fused_requests, 5);
+        assert_eq!(snap.fused_requests, 0);
     }
 
     #[test]

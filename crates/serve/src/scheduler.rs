@@ -1,22 +1,20 @@
-//! The sharded, waveguide-aware, load-adaptive scheduler.
+//! The sharded, waveguide-aware scheduler.
 //!
 //! # Architecture
 //!
 //! ```text
 //!  clients ── submit(GateId, OperandSet) ──► Ticket
 //!      │
-//!      ▼  route by the gate's (WaveguideId, LaneId) through the
-//!      │  adaptive placement table (lanes of one waveguide start
-//!      │  co-resident; hot-shard co-tenants get moved)
+//!      ▼  route to the gate's shard, fixed at build time by its
+//!      │  WaveguideId (every lane of one waveguide shares a shard)
 //!  ┌───────────────┐   ┌───────────────┐
 //!  │ shard 0 queue │   │ shard 1 queue │   … bounded MPSC
 //!  └──────┬────────┘   └──────┬────────┘
 //!         ▼                   ▼
-//!   worker thread        worker thread     each lazily owns its OWN
-//!   drain → group        drain → group     backend instance per gate
-//!   by gate (or by       by gate (or by    (split_session from a
-//!   design, fused) →     design, fused) →  shared template)
-//!   stack lanes of a     stack lanes of a
+//!   worker thread        worker thread     each owns the backend
+//!   drain → group        drain → group     sessions of the gates
+//!   by gate → stack      by gate → stack   placed on it
+//!   lanes of a           lanes of a
 //!   waveguide → FDM      waveguide → FDM
 //!   evaluate pass        evaluate pass
 //! ```
@@ -27,11 +25,19 @@
 //! With the default zero [`ServeConfig::linger`] there is no timed
 //! wait: a lone request is served on arrival, and a backlog that built
 //! up while the worker was busy forms the next batch. Because routing
-//! is by [`WaveguideId`] and [`LaneId`], a drain cycle naturally coalesces
-//! requests across *different* gates sharing a waveguide — the
-//! cross-gate data parallelism of the companion paper
-//! (arXiv:2008.12220) — while requests for the same gate ride one
-//! batch, the in-waveguide parallelism of the source paper.
+//! is by [`WaveguideId`], a drain cycle naturally coalesces requests
+//! across *different* gates sharing a waveguide — the cross-gate data
+//! parallelism of the companion paper (arXiv:2008.12220) — while
+//! requests for the same gate ride one batch, the in-waveguide
+//! parallelism of the source paper.
+//!
+//! # Placement
+//!
+//! Placement is static: [`SchedulerBuilder::build`] puts each waveguide
+//! on `static_shard(waveguide, workers)`, a bit-mixed hash of its id,
+//! and moves every gate's warm session onto that shard. A gate lives on
+//! exactly one shard for the scheduler's lifetime, so a worker never
+//! builds a session on demand.
 //!
 //! # Frequency-division multiplexing
 //!
@@ -39,35 +45,11 @@
 //! occupy disjoint frequency bands of one physical medium, so their
 //! groups do not stay separate batches: the drain stacks every lane of
 //! a waveguide into one multi-lane [`evaluate_fdm_batch_logic`]
-//! pass (micromagnetic backends are excluded, mirroring the no-fusion
-//! rule). Per-shard FDM pass counters and per-lane served counters
-//! surface through [`Scheduler::telemetry`]; register lane-shifted
-//! circuit gates with
+//! pass (micromagnetic backends are excluded: their time-domain
+//! simulation is per-gate). Per-shard FDM pass counters and per-lane
+//! served counters surface through [`Scheduler::telemetry`]; register
+//! lane-shifted circuit gates with
 //! [`SchedulerBuilder::register_circuit_gates_on_lane`].
-//!
-//! # Adaptive policies
-//!
-//! Two load-aware policies (see [`AdaptiveConfig`], both on by
-//! default, each individually switchable) feed on the lock-free
-//! telemetry in [`crate::telemetry`]:
-//!
-//! * **hot-waveguide rebalancing** — instead of the static
-//!   hash-placement fallback, submissions consult a placement table
-//!   that periodically moves co-tenant waveguides off overloaded
-//!   shards, so a hot waveguide ends up with a shard to itself while
-//!   the background traffic spreads over the rest;
-//! * **cross-waveguide fusion** — when a drain runs deeper than
-//!   [`AdaptiveConfig::fusion_threshold`], requests for
-//!   *design-compatible* gates (equal
-//!   [`ParallelGate::design_fingerprint`] — a hash over the compiled
-//!   evaluation state, so only the waveguide id may differ — and the
-//!   same backend) merge into a single `evaluate_batch` call instead
-//!   of one call per gate.
-//!
-//! Rebalancing is safe mid-flight because workers create backend
-//! instances lazily: a request that reaches a shard whose worker has
-//! not served that gate before triggers a `split_session` from the
-//! shared warm template, instead of an error.
 //!
 //! Completions carry the scheduler-assigned request tag, so they are
 //! safe to deliver out of order; each [`Ticket`] simply receives its
@@ -79,7 +61,7 @@
 //!
 //! With [`ServeConfig::lut_dir`] set, [`SchedulerBuilder::build`] loads
 //! each gate's persisted truth-table LUT (if present and valid) into
-//! the template session before splitting per-shard instances, and
+//! the gate's session before handing it to its shard, and
 //! [`Scheduler::shutdown`] merges every shard's LUT and writes it back
 //! (atomically — a crash mid-write never corrupts the previous file).
 //! A warm restart therefore serves from the first request without
@@ -87,7 +69,7 @@
 
 use crate::error::ServeError;
 use crate::request::{EvalJob, GateId, SchedulerStats, SharedStats, Ticket};
-use crate::telemetry::{AdaptiveConfig, Telemetry, TelemetrySnapshot};
+use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use magnon_circuits::netlist::{fdm_lane_base, packed_frequency_step};
 use magnon_core::backend::{
     evaluate_fdm_batch_logic, BackendChoice, GateSession, LaneBatch, OperandSet, RequestTag,
@@ -108,10 +90,11 @@ use std::path::PathBuf;
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shard count (clamped to ≥ 1). Each distinct waveguide is
-    /// initially placed on `mix64(waveguide_id) % workers` (a
-    /// multiplicative bit-mix, so ids sharing factors with the worker
-    /// count still spread) and may be moved by adaptive rebalancing.
+    /// Worker shard count (clamped to ≥ 1). Placement is static: each
+    /// distinct waveguide, with every lane on it, is served by shard
+    /// `mix64(waveguide_id) % workers` (a multiplicative bit-mix, so
+    /// ids sharing factors with the worker count still spread) for the
+    /// scheduler's lifetime.
     pub workers: usize,
     /// Largest number of requests one drain cycle serves. Zero is
     /// rejected by [`SchedulerBuilder::build`] — it would silently
@@ -130,10 +113,6 @@ pub struct ServeConfig {
     /// Directory for persisted LUT files (`<gate name>.mglut`). `None`
     /// disables persistence.
     pub lut_dir: Option<PathBuf>,
-    /// The load-adaptive policy knobs (hot-waveguide rebalancing,
-    /// cross-waveguide fusion). [`AdaptiveConfig::off`]
-    /// reproduces the static runtime.
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for ServeConfig {
@@ -144,7 +123,6 @@ impl Default for ServeConfig {
             linger: Duration::ZERO,
             queue_depth: 1024,
             lut_dir: None,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -152,11 +130,10 @@ impl Default for ServeConfig {
 /// One registered gate's bookkeeping.
 struct GateEntry {
     name: String,
-    /// Introspection clone (the serving sessions live on the shards).
+    /// Introspection clone (the serving session lives on its shard).
     gate: ParallelGate,
-    /// Index into the placement table (one slot per distinct
-    /// `(waveguide, lane)` channel).
-    lane_slot: usize,
+    /// The shard serving this gate, fixed at build time.
+    shard: usize,
     lut_loaded: usize,
 }
 
@@ -164,9 +141,7 @@ struct GateEntry {
 /// build).
 #[derive(Debug, Clone, Copy)]
 struct GateMeta {
-    /// Fusion-compatibility key (see [`fusion_fingerprint`]).
-    fingerprint: u64,
-    /// Index into the `(waveguide, lane)` placement table.
+    /// Index into the per-`(waveguide, lane)` telemetry table.
     lane_slot: usize,
     /// The gate's waveguide — FDM passes only stack lanes of one
     /// physical medium.
@@ -174,8 +149,7 @@ struct GateMeta {
     /// The gate's frequency lane on that waveguide.
     lane: LaneId,
     /// Whether this gate's backend may join a multi-lane FDM pass
-    /// (micromag never does: its time-domain simulation is per-gate,
-    /// the same rule that keeps it out of fingerprint fusion).
+    /// (micromag never does: its time-domain simulation is per-gate).
     fdm_ok: bool,
 }
 
@@ -222,8 +196,8 @@ impl SchedulerBuilder {
     }
 
     /// Registers `gate` under `name` (also the LUT file stem when
-    /// persistence is on), serving through `choice`'s backend on every
-    /// shard the gate lands on.
+    /// persistence is on), serving through `choice`'s backend on the
+    /// gate's shard.
     ///
     /// # Errors
     ///
@@ -336,7 +310,8 @@ impl SchedulerBuilder {
     }
 
     /// Builds the runtime: validates the configuration, loads persisted
-    /// LUTs, places waveguides on shards and spawns the workers.
+    /// LUTs, places each waveguide's gates on one shard and spawns the
+    /// workers.
     ///
     /// # Errors
     ///
@@ -357,8 +332,6 @@ impl SchedulerBuilder {
         }
         config.workers = config.workers.max(1);
         config.queue_depth = config.queue_depth.max(1);
-        config.adaptive.rebalance_interval = config.adaptive.rebalance_interval.max(1);
-        config.adaptive.fusion_threshold = config.adaptive.fusion_threshold.max(2);
 
         // Distinct lanes of one waveguide must occupy disjoint bands —
         // the drain stacks them into one physical excitation, which is
@@ -390,74 +363,69 @@ impl SchedulerBuilder {
             }
         }
 
+        let gate_count = self.registrations.len();
         let mut lane_slots: BTreeMap<(u64, u16), usize> = BTreeMap::new();
         let mut placements: Vec<(WaveguideId, LaneId, usize)> = Vec::new();
-        let mut entries = Vec::with_capacity(self.registrations.len());
-        let mut templates: Vec<GateSession> = Vec::with_capacity(self.registrations.len());
-        let mut meta: Vec<GateMeta> = Vec::with_capacity(self.registrations.len());
+        let mut entries = Vec::with_capacity(gate_count);
+        let mut meta: Vec<GateMeta> = Vec::with_capacity(gate_count);
+        // `shard_sessions[shard][gate]`: each gate's one session, on the
+        // shard its waveguide hashes to.
+        let mut shard_sessions: Vec<Vec<Option<GateSession>>> = (0..config.workers)
+            .map(|_| (0..gate_count).map(|_| None).collect())
+            .collect();
         for (index, (name, gate, choice)) in self.registrations.into_iter().enumerate() {
-            let mut template = GateSession::new(gate.clone(), choice)?;
+            let mut session = GateSession::new(gate.clone(), choice)?;
             let mut lut_loaded = 0;
             if let Some(dir) = &config.lut_dir {
                 let path = lut_path(dir, &name);
                 if path.exists() {
                     let snapshot = load_lut(&path)?;
-                    lut_loaded = template.import_lut(&snapshot)?;
+                    lut_loaded = session.import_lut(&snapshot)?;
                 }
             }
             let waveguide = gate.waveguide_id();
             let lane = gate.lane_id();
-            // Placement is per (waveguide, lane), but the initial shard
-            // comes from the waveguide alone, so all lanes of one
-            // medium start co-resident and FDM-coalesce from the first
-            // drain (the rebalancer may separate them later).
+            // The shard comes from the waveguide alone, so every lane of
+            // one medium is co-resident and FDM-coalesces.
+            let shard = static_shard(waveguide, config.workers);
             let lane_slot = *lane_slots.entry((waveguide.0, lane.0)).or_insert_with(|| {
-                placements.push((waveguide, lane, static_shard(waveguide, config.workers)));
+                placements.push((waveguide, lane, shard));
                 placements.len() - 1
             });
             meta.push(GateMeta {
-                fingerprint: fusion_fingerprint(index, &gate, choice),
                 lane_slot,
                 waveguide,
                 lane,
                 fdm_ok: !matches!(choice, BackendChoice::Micromag(_)),
             });
+            if let Some(slot) = shard_sessions
+                .get_mut(shard)
+                .and_then(|sessions| sessions.get_mut(index))
+            {
+                *slot = Some(session);
+            }
             entries.push(GateEntry {
                 name,
                 gate,
-                lane_slot,
+                shard,
                 lut_loaded,
             });
-            templates.push(template);
         }
 
         let telemetry = Arc::new(Telemetry::new(config.workers, config.linger, placements));
         let stats = Arc::new(SharedStats::default());
-        let templates = Arc::new(templates);
         let meta = Arc::new(meta);
         let mut senders = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
-        for shard in 0..config.workers {
-            // Pre-split the gates initially placed here (fast path);
-            // anything rebalancing routes over later splits lazily.
-            let mut sessions: Vec<Option<GateSession>> = Vec::with_capacity(entries.len());
-            for (entry, template) in entries.iter().zip(templates.iter()) {
-                if telemetry.shard_of_slot(entry.lane_slot) == shard {
-                    sessions.push(Some(template.split_session()?));
-                } else {
-                    sessions.push(None);
-                }
-            }
+        for (shard, sessions) in shard_sessions.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel(config.queue_depth);
             let worker = Worker {
                 shard,
                 rx,
                 sessions,
-                templates: Arc::clone(&templates),
                 meta: Arc::clone(&meta),
                 linger: config.linger,
                 max_batch: config.max_batch,
-                policy: config.adaptive.clone(),
                 stats: Arc::clone(&stats),
                 telemetry: Arc::clone(&telemetry),
                 scratch: DrainScratch::default(),
@@ -514,31 +482,12 @@ fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// Static placement fallback: mix the id bits, then fold the
-/// well-mixed *high* half. A raw `waveguide_id % workers` systematically
-/// collides ids sharing a factor with the worker count (all-even ids on
-/// 2 workers load only the even shards); the mix makes placement
-/// uniform even before the adaptive table warms up.
+/// Static placement: mix the id bits, then fold the well-mixed *high*
+/// half. A raw `waveguide_id % workers` systematically collides ids
+/// sharing a factor with the worker count (all-even ids on 2 workers
+/// load only the even shards); the mix spreads them uniformly.
 fn static_shard(waveguide: WaveguideId, workers: usize) -> usize {
     ((mix64(waveguide.0) >> 32) % workers.max(1) as u64) as usize
-}
-
-/// Fusion-compatibility key: the gate's behavioral fingerprint
-/// ([`ParallelGate::design_fingerprint`] — a hash over the *compiled*
-/// evaluation state, so readout modes, layout, dispersion model,
-/// equalization and waveguide physics all participate) combined with
-/// the backend choice. Equal keys mean identical outputs for identical
-/// operands, so the fusion path may serve them from one session.
-/// Micromagnetic backends are salted with the registration index —
-/// their calibration is per-instance, so they never fuse.
-fn fusion_fingerprint(index: usize, gate: &ParallelGate, choice: BackendChoice) -> u64 {
-    let (tag, salt) = match choice {
-        BackendChoice::Analytic => (1u64, 0u64),
-        BackendChoice::Cached => (2, 0),
-        // The index salt makes every micromag registration unique.
-        BackendChoice::Micromag(_) => (3, index as u64 + 1),
-    };
-    mix64(gate.design_fingerprint() ^ mix64(tag) ^ mix64(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Drain-cycle scratch owned by the worker. Every buffer keeps its
@@ -548,20 +497,17 @@ fn fusion_fingerprint(index: usize, gate: &ParallelGate, choice: BackendChoice) 
 /// the waived amortized-growth sites that fill these.
 #[derive(Default)]
 struct DrainScratch {
-    /// Level-1 association list, group key → jobs. Replaces a
+    /// Level-1 association list, gate index → jobs. Replaces a
     /// per-drain `BTreeMap`: linear scans win at drain-sized group
     /// counts, and the entries reuse pooled job vectors instead of
     /// allocating a node per job.
-    groups: Vec<(u64, Vec<EvalJob>)>,
-    /// Uniform-FDM groups peeled out of `groups`, re-keyed by
+    groups: Vec<(usize, Vec<EvalJob>)>,
+    /// FDM-capable groups peeled out of `groups`, re-keyed by
     /// waveguide id and sorted so each waveguide's candidates form one
     /// contiguous run.
     fdm: Vec<(u64, Vec<EvalJob>)>,
     /// Emptied job vectors handed back by the serve paths.
     pool: Vec<Vec<EvalJob>>,
-    /// Gate indices touched this drain (sorted + deduped in place,
-    /// replacing a per-drain `BTreeSet`).
-    gates: Vec<usize>,
     /// Per-waveguide lane election: `(lane, run offset, depth)`.
     lanes: Vec<(u16, usize, usize)>,
     /// Groups elected into one stacked FDM pass.
@@ -588,17 +534,15 @@ type ReplySender = SyncSender<(RequestTag, Result<GateOutput, GateError>)>;
 struct Worker {
     shard: usize,
     rx: Receiver<EvalJob>,
-    /// `sessions[gate index]` — filled lazily; gates placed here at
-    /// build time are pre-split.
+    /// `sessions[gate index]` — filled at build for the gates placed
+    /// here, `None` for every other gate.
     sessions: Vec<Option<GateSession>>,
-    /// Warm templates shared by all shards, the source of lazy splits.
-    templates: Arc<Vec<GateSession>>,
-    /// `meta[gate index]` — fusion key, lane slot and FDM eligibility.
+    /// `meta[gate index]` — lane slot, waveguide, lane and FDM
+    /// eligibility.
     meta: Arc<Vec<GateMeta>>,
     /// Fixed linger window (see [`ServeConfig::linger`]).
     linger: Duration,
     max_batch: usize,
-    policy: AdaptiveConfig,
     stats: Arc<SharedStats>,
     telemetry: Arc<Telemetry>,
     /// Reusable drain-cycle buffers (see [`DrainScratch`]).
@@ -670,29 +614,25 @@ impl Worker {
         }
     }
 
-    /// The serving session for `gate`, splitting one off the shared
-    /// warm template the first time rebalancing routes that gate here.
-    /// An out-of-range index is an error, not a panic — the drain path
-    /// must keep serving the other requests of the batch.
+    /// The serving session for `gate`. A gate with no session here is
+    /// an error, not a panic — the drain path must keep serving the
+    /// other requests of the batch.
     fn session_for(&mut self, gate: usize) -> Result<&mut GateSession, GateError> {
-        let out_of_range = || GateError::Runtime {
-            reason: format!("gate index {gate} is not registered"),
-        };
-        let slot = self.sessions.get_mut(gate).ok_or_else(out_of_range)?;
-        if slot.is_none() {
-            let template = self.templates.get(gate).ok_or_else(out_of_range)?;
-            *slot = Some(template.split_session()?);
-        }
-        slot.as_mut().ok_or_else(out_of_range)
+        let shard = self.shard;
+        self.sessions
+            .get_mut(gate)
+            .and_then(Option::as_mut)
+            .ok_or_else(|| GateError::Runtime {
+                reason: format!("gate index {gate} has no session on shard {shard}"),
+            })
     }
 
     /// Routing facts for `gate`. Every caller runs behind
     /// [`Worker::serve_drain`]'s index assert, so the fallback (a
-    /// solitary non-FDM, non-fusing meta) is dead code that exists only
-    /// to keep the drain path free of panicking lookups.
+    /// solitary non-FDM meta) is dead code that exists only to keep the
+    /// drain path free of panicking lookups.
     fn meta_of(&self, gate: usize) -> GateMeta {
         self.meta.get(gate).copied().unwrap_or(GateMeta {
-            fingerprint: gate as u64,
             lane_slot: 0,
             waveguide: WaveguideId(u64::MAX),
             lane: LaneId(u16::MAX),
@@ -700,9 +640,8 @@ impl Worker {
         })
     }
 
-    /// Serves one drain cycle: group by gate — or, when the drain is
-    /// deep enough to fuse, by design fingerprint — then stack groups
-    /// riding distinct frequency lanes of one waveguide into a single
+    /// Serves one drain cycle: group by gate, then stack groups riding
+    /// distinct frequency lanes of one waveguide into a single
     /// multi-lane FDM pass. One batch per surviving group, tags routed
     /// back to their tickets.
     fn serve_drain(&mut self, pending: &mut Vec<EvalJob>) {
@@ -726,21 +665,12 @@ impl Worker {
                 job.gate
             );
         }
-        let fuse = self.policy.fusion && pending.len() >= self.policy.fusion_threshold;
         // The scratch moves out of `self` for the cycle (the serve
         // calls below need `&mut self`) and moves back at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.gates.clear();
         for job in pending.drain(..) {
-            // analyze: allow(can-alloc) — amortized: scratch retains
-            // capacity across drains (see `DrainScratch`).
-            scratch.gates.push(job.gate);
-            let key = if fuse {
-                self.meta_of(job.gate).fingerprint
-            } else {
-                job.gate as u64
-            };
-            if let Some((_, group)) = scratch.groups.iter_mut().find(|(k, _)| *k == key) {
+            let gate = job.gate;
+            if let Some((_, group)) = scratch.groups.iter_mut().find(|(g, _)| *g == gate) {
                 // analyze: allow(can-alloc) — amortized: pooled group
                 // vector keeps its capacity across drains.
                 group.push(job);
@@ -749,35 +679,23 @@ impl Worker {
                 // analyze: allow(can-alloc) — amortized: pooled vector reuse
                 group.push(job);
                 // analyze: allow(can-alloc) — amortized: association list reuse
-                scratch.groups.push((key, group));
+                scratch.groups.push((gate, group));
             }
         }
-        scratch.gates.sort_unstable();
-        scratch.gates.dedup();
-        let gates_touched = scratch.gates.len() as u64;
-        // Second level: peel FDM-eligible groups out into `fdm`,
-        // re-keyed by waveguide. A group qualifies when every job sits
-        // on one waveguide through an FDM-capable backend
-        // (fingerprint-fused groups may span waveguides; those stay
-        // behind in `groups` and serve unstacked, as before).
+        let gates_touched = scratch.groups.len() as u64;
+        // Second level: peel the groups of FDM-capable gates out into
+        // `fdm`, re-keyed by waveguide. The rest (micromag) stay behind
+        // in `groups` and serve unstacked.
         scratch.fdm.clear();
         let fdm = &mut scratch.fdm;
-        scratch.groups.retain_mut(|(_, group)| {
-            let Some(first) = group.first() else {
-                return false;
-            };
-            let lead = self.meta_of(first.gate);
-            let uniform = lead.fdm_ok
-                && group.iter().all(|job| {
-                    let meta = self.meta_of(job.gate);
-                    meta.fdm_ok && meta.waveguide == lead.waveguide
-                });
-            if uniform {
+        scratch.groups.retain_mut(|(gate, group)| {
+            let meta = self.meta_of(*gate);
+            if meta.fdm_ok {
                 // analyze: allow(can-alloc) — amortized: scratch list
                 // keeps its capacity across drains.
-                fdm.push((lead.waveguide.0, std::mem::take(group)));
+                fdm.push((meta.waveguide.0, std::mem::take(group)));
             }
-            !uniform
+            !meta.fdm_ok
         });
         scratch.fdm.sort_unstable_by_key(|entry| entry.0);
         let mut batches = 0u64;
@@ -840,7 +758,7 @@ impl Worker {
             }
             start = end;
         }
-        // The non-uniform leftovers (and everything when FDM is off).
+        // The leftovers FDM cannot stack.
         while let Some((_, group)) = scratch.groups.pop() {
             batches += 1;
             let spent = self.serve_group(group, &mut scratch.stage);
@@ -896,30 +814,18 @@ impl Worker {
         // than pooled: an FDM stack carries at most one group per
         // frequency lane of one waveguide, so every vector here is
         // bounded by the waveguide's lane count, not by queue depth.
-        // Distinct group keys mean distinct lead gates, so each lead's
-        // session can be taken out of the table exactly once.
+        // Each group is one gate, so each lead's session can be taken
+        // out of the table exactly once.
         let leads: Vec<usize> = stacked
             .iter()
             .filter_map(|group| group.first().map(|job| job.gate))
             .collect(); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        for &lead in &leads {
-            if self.session_for(lead).is_err() {
-                // A lane whose session cannot build fails its own
-                // group's requests through the per-group path; the
-                // other lanes still serve.
-                let devolved = stacked.len() as u64;
-                for group in stacked.drain(..) {
-                    let spent = self.serve_group(group, stage);
-                    pool.push(spent); // analyze: allow(can-alloc) — amortized pool growth
-                }
-                return devolved;
-            }
-        }
-        // Borrow every lead session at once by lifting them out of the
-        // slot table for the duration of the stacked call. The ensure
-        // loop above just built each one, so a missing slot here means
-        // the table is inconsistent — restore what was taken and serve
-        // per group rather than panic mid-drain.
+                        // Borrow every lead session at once by lifting them out of the
+                        // slot table for the duration of the stacked call. Every gate
+                        // routed here has its session on this shard, so a missing slot
+                        // means the table is inconsistent — restore what was taken and
+                        // serve per group (failing only that gate's requests) rather
+                        // than panic mid-drain.
         let mut sessions: Vec<GateSession> = Vec::with_capacity(leads.len()); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
         for &lead in &leads {
             match self.sessions.get_mut(lead).and_then(Option::take) {
@@ -1043,17 +949,16 @@ impl Worker {
         }
     }
 
-    /// Serves one group (all jobs share a session-compatible target):
-    /// one `evaluate_batch` on the lead gate's session, with a
-    /// per-request fallback on each job's own gate so errors land only
-    /// on the requests that earned them. Returns the emptied job
-    /// vector so the caller can pool it for the next drain.
+    /// Serves one group (every job targets the same gate): one
+    /// `evaluate_batch` on that gate's session, with a per-request
+    /// fallback so errors land only on the requests that earned them.
+    /// Returns the emptied job vector so the caller can pool it for the
+    /// next drain.
     fn serve_group(&mut self, mut group: Vec<EvalJob>, stage: &mut GroupStage) -> Vec<EvalJob> {
         let Some(first) = group.first() else {
             return group;
         };
         let lead = first.gate;
-        let fused = group.iter().any(|job| job.gate != lead);
         // Move the operand sets out of the jobs — the batch path must
         // not copy request payloads. The staging buffers keep their
         // capacity from batch to batch (see `GroupStage`).
@@ -1075,9 +980,6 @@ impl Worker {
         };
         match attempt {
             Ok(outputs) => {
-                if fused {
-                    self.stats.record_fusion(stage.sets.len() as u64);
-                }
                 self.note_lanes_served(
                     stage.replies.iter().map(|(gate, _, _)| *gate),
                     &mut stage.tally,
@@ -1091,7 +993,7 @@ impl Worker {
             }
             Err(_) => {
                 // The batch failed as a whole; fall back to per-request
-                // evaluation on each job's own gate.
+                // evaluation.
                 for ((gate, tag, reply), set) in stage.replies.drain(..).zip(stage.sets.iter()) {
                     let result = match self.session_for(gate) {
                         Ok(session) => session.evaluate(set.words()),
@@ -1170,12 +1072,10 @@ impl Scheduler {
         self.senders.len()
     }
 
-    /// The shard *currently* serving `id`'s waveguide (rebalancing may
-    /// move it).
+    /// The shard serving `id`'s waveguide. Placement is static, so
+    /// this is fixed at build time.
     pub fn shard_of(&self, id: GateId) -> Option<usize> {
-        self.entries
-            .get(id.0)
-            .map(|e| self.telemetry.shard_of_slot(e.lane_slot))
+        self.entries.get(id.0).map(|e| e.shard)
     }
 
     /// LUT entries adopted from disk at build time (0 without
@@ -1190,8 +1090,8 @@ impl Scheduler {
     }
 
     /// Current load-telemetry snapshot: per-shard queue depths, drain
-    /// counters and linger windows, per-waveguide placement and recent
-    /// request counts, and the number of rebalance moves.
+    /// counters, linger windows and LUT gauges, and per-lane placement
+    /// and served counts.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.telemetry.snapshot()
     }
@@ -1201,9 +1101,7 @@ impl Scheduler {
             .entries
             .get(id.0)
             .ok_or(ServeError::UnknownGate { index: id.0 })?;
-        let shard = self
-            .telemetry
-            .route_submit(entry.lane_slot, &self.config.adaptive);
+        let shard = entry.shard;
         // ordering: Relaxed — tags only need uniqueness; submission
         // order is established by the queue send, not the counter.
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
@@ -1485,16 +1383,11 @@ mod tests {
             .on_lane(LaneId(1))
             .build()
             .unwrap();
-        let templates: Vec<GateSession> = [maj, xor]
+        let sessions = [maj, xor]
             .into_iter()
-            .map(|gate| GateSession::new(gate, BackendChoice::Cached).unwrap())
-            .collect();
-        let sessions = templates
-            .iter()
-            .map(|t| Some(t.split_session().unwrap()))
+            .map(|gate| Some(GateSession::new(gate, BackendChoice::Cached).unwrap()))
             .collect();
         let meta = |lane: u16| GateMeta {
-            fingerprint: u64::from(lane),
             lane_slot: usize::from(lane),
             waveguide: WaveguideId(0),
             lane: LaneId(lane),
@@ -1505,11 +1398,9 @@ mod tests {
             shard: 0,
             rx,
             sessions,
-            templates: Arc::new(templates),
             meta: Arc::new(vec![meta(0), meta(1)]),
             linger,
             max_batch,
-            policy: AdaptiveConfig::off(),
             stats: Arc::new(SharedStats::default()),
             telemetry: Arc::new(Telemetry::new(
                 1,
@@ -1561,7 +1452,9 @@ mod tests {
                     "the malformed request must fail: {result:?}"
                 );
             } else {
-                let reference = worker.templates[*gate]
+                let reference = worker.sessions[*gate]
+                    .as_ref()
+                    .unwrap()
                     .gate()
                     .evaluate(set.words())
                     .unwrap();
@@ -1712,7 +1605,6 @@ mod tests {
         let mut builder = SchedulerBuilder::new(ServeConfig {
             workers: 2,
             lut_dir: Some(dir.clone()),
-            adaptive: AdaptiveConfig::off(),
             ..ServeConfig::default()
         });
         let make = |wg: u64| {
@@ -1804,59 +1696,5 @@ mod tests {
                 assert!(static_shard(WaveguideId(id), workers) < workers);
             }
         }
-    }
-
-    #[test]
-    fn fingerprints_separate_designs_and_salt_micromag() {
-        let guide = Waveguide::paper_default().unwrap();
-        let maj = |wg: u64| {
-            ParallelGateBuilder::new(guide)
-                .channels(8)
-                .inputs(3)
-                .on_waveguide(WaveguideId(wg))
-                .build()
-                .unwrap()
-        };
-        // Same design, different waveguides: compatible (fusable).
-        assert_eq!(
-            fusion_fingerprint(0, &maj(0), BackendChoice::Cached),
-            fusion_fingerprint(1, &maj(9), BackendChoice::Cached),
-        );
-        // Different backend: not compatible.
-        assert_ne!(
-            fusion_fingerprint(0, &maj(0), BackendChoice::Cached),
-            fusion_fingerprint(0, &maj(0), BackendChoice::Analytic),
-        );
-        // Different function or operand count: not compatible.
-        let xor = ParallelGateBuilder::new(guide)
-            .channels(8)
-            .inputs(2)
-            .function(LogicFunction::Xor)
-            .build()
-            .unwrap();
-        assert_ne!(
-            fusion_fingerprint(0, &maj(0), BackendChoice::Analytic),
-            fusion_fingerprint(0, &xor, BackendChoice::Analytic),
-        );
-        // Identical frequency plan but inverted readout: compiles to
-        // different behavior, so it must not fuse — the fingerprint
-        // hashes the compiled prep, not just the builder surface.
-        let inverted = ParallelGateBuilder::new(guide)
-            .channels(8)
-            .inputs(3)
-            .readout(magnon_core::encoding::ReadoutMode::Inverted)
-            .build()
-            .unwrap();
-        assert_ne!(
-            fusion_fingerprint(0, &maj(0), BackendChoice::Cached),
-            fusion_fingerprint(0, &inverted, BackendChoice::Cached),
-        );
-        // Micromag never fuses: even identical designs differ by
-        // registration index.
-        let settings = Default::default();
-        assert_ne!(
-            fusion_fingerprint(0, &maj(0), BackendChoice::Micromag(settings)),
-            fusion_fingerprint(1, &maj(0), BackendChoice::Micromag(settings)),
-        );
     }
 }

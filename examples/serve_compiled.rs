@@ -24,9 +24,7 @@ use spinwave_parallel::core::backend::BackendChoice;
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::core::word::Word;
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{
-    register_compiled, AdaptiveConfig, CircuitExecutor, SchedulerBuilder, ServeConfig,
-};
+use spinwave_parallel::serve::{register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig};
 use std::time::{Duration, Instant};
 
 const WIDTH: usize = 8; // channels per wire: 8 independent data sets
@@ -118,7 +116,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         linger: Duration::from_micros(100),
         queue_depth: 1024,
         lut_dir: None,
-        adaptive: AdaptiveConfig::default(),
     });
     let adder_gates = register_compiled(
         &mut builder,

@@ -22,7 +22,7 @@ use spinwave_parallel::core::layout_report::render_lane_spectrum;
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::core::robustness::{monte_carlo_error_rate, NoiseModel};
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{AdaptiveConfig, ScheduledBank, SchedulerBuilder, ServeConfig};
+use spinwave_parallel::serve::{ScheduledBank, SchedulerBuilder, ServeConfig};
 use std::time::{Duration, Instant};
 
 const WIDTH: usize = 8;
@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         linger: Duration::from_micros(150),
         queue_depth: 1024,
         lut_dir: None,
-        adaptive: AdaptiveConfig::off(), // FDM stacking is not a policy knob
     });
     let (adder_maj, adder_xor) = builder.register_circuit_gates_on_lane(
         guide,

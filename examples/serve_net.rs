@@ -11,7 +11,7 @@ use spinwave_parallel::core::backend::BackendChoice;
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::net::{NetClient, NetServer, NetServerConfig, RemoteGateId};
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{AdaptiveConfig, SchedulerBuilder, ServeConfig};
+use spinwave_parallel::serve::{SchedulerBuilder, ServeConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -136,7 +136,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         linger: Duration::from_micros(100),
         queue_depth: 1024,
         lut_dir: None,
-        adaptive: AdaptiveConfig::default(),
     });
     for wg in [0u64, 1] {
         builder.register_circuit_gates(
@@ -191,13 +190,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let sched_stats = scheduler.stats();
     println!(
-        "scheduler: {} drain cycles, mean {:.1} requests/drain, max {}, {} cross-gate passes, \
-         {} fused",
+        "scheduler: {} drain cycles, mean {:.1} requests/drain, max {}, {} cross-gate passes",
         sched_stats.drain_passes,
         sched_stats.mean_drain(),
         sched_stats.max_drain,
         sched_stats.cross_gate_passes,
-        sched_stats.fused_requests,
     );
 
     server.shutdown();

@@ -14,7 +14,7 @@ use spinwave_parallel::circuits::parity::ParityTree;
 use spinwave_parallel::core::backend::{BackendChoice, OperandSet};
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{AdaptiveConfig, ScheduledBank, SchedulerBuilder, ServeConfig};
+use spinwave_parallel::serve::{ScheduledBank, SchedulerBuilder, ServeConfig};
 use std::time::{Duration, Instant};
 
 const WIDTH: usize = 8;
@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         linger: Duration::from_micros(100),
         queue_depth: 1024,
         lut_dir: Some(lut_dir.clone()),
-        adaptive: AdaptiveConfig::default(),
     });
     // Two waveguides, each carrying a MAJ-3 + XOR-2 pair. With two
     // workers, each waveguide gets its own shard; the gates *within* a
@@ -167,7 +166,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let telemetry = scheduler.telemetry();
     println!(
-        "telemetry: per-shard drained {:?}, linger windows {:?}, {} rebalance move(s)",
+        "telemetry: per-shard drained {:?}, linger windows {:?}",
         telemetry
             .shards
             .iter()
@@ -178,7 +177,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|s| s.linger)
             .collect::<Vec<_>>(),
-        telemetry.rebalances,
     );
 
     let report = scheduler.shutdown()?;

@@ -107,11 +107,12 @@
 //! # Serving at scale
 //!
 //! For sustained traffic, hand the gates to the
-//! [`serve::Scheduler`]: requests queue on bounded per-shard channels,
-//! coalesce under a batch-size/linger policy (within a gate *and*
-//! across gates sharing a [`core::gate::WaveguideId`]), and cached
-//! truth-table LUTs persist across restarts. See
-//! `examples/serve_pipeline.rs`.
+//! [`serve::Scheduler`]: each waveguide's gates live on one worker
+//! shard, fixed at build time; requests queue on bounded per-shard
+//! channels and coalesce under a batch-size/linger policy (within a
+//! gate *and* across gates sharing a [`core::gate::WaveguideId`], whose
+//! frequency lanes stack into one FDM pass); cached truth-table LUTs
+//! persist across restarts. See `examples/serve_pipeline.rs`.
 //!
 //! Whole netlists compile to scheduler-ready plans with
 //! [`compiler::compile`]: ASAP wavefronts, spectrum-aware FDM

@@ -1,6 +1,6 @@
 //! Property tests for the circuit compiler and its pipelined executor:
 //! compiled plans run through the serving scheduler — pipelined or
-//! level-by-level, with adaptive rebalancing live — must equal
+//! level-by-level, over several shards — must equal
 //! sequential [`Circuit::evaluate_batch`] on randomized DAGs, and
 //! every placement must keep its lane bands disjoint.
 
@@ -11,9 +11,7 @@ use spinwave_parallel::core::backend::BackendChoice;
 use spinwave_parallel::core::gate::WaveguideId;
 use spinwave_parallel::core::word::Word;
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{
-    register_compiled, AdaptiveConfig, CircuitExecutor, SchedulerBuilder, ServeConfig,
-};
+use spinwave_parallel::serve::{register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig};
 use std::time::Duration;
 
 const WIDTH: usize = 8;
@@ -25,13 +23,6 @@ fn quick_config(workers: usize) -> ServeConfig {
         linger: Duration::from_micros(50),
         queue_depth: 256,
         lut_dir: None,
-        // Adaptive policies stay ON (default), with a short rebalance
-        // interval so placement moves happen inside small test runs —
-        // plan execution must be correct while shards shift under it.
-        adaptive: AdaptiveConfig {
-            rebalance_interval: 8,
-            ..AdaptiveConfig::default()
-        },
     }
 }
 
@@ -90,8 +81,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Compiled + pipelined execution ≡ sequential reference, on
-    /// randomized DAGs with shared fan-out and multiple outputs, under
-    /// live adaptive rebalancing. Every plan's lane grid must honour
+    /// randomized DAGs with shared fan-out and multiple outputs, with
+    /// live pipelining. Every plan's lane grid must honour
     /// the guard band the packed frequency grid promises.
     #[test]
     fn compiled_pipelined_execution_matches_sequential_reference(
@@ -147,9 +138,9 @@ proptest! {
 }
 
 /// One deterministic deep case: a ripple-style majority chain plus an
-/// independent XOR tree, executed pipelined over rebalancing shards.
+/// independent XOR tree, executed pipelined over two shards.
 #[test]
-fn deep_mixed_circuit_survives_rebalancing() {
+fn deep_mixed_circuit_matches_reference_pipelined() {
     let mut c = Circuit::new(WIDTH).unwrap();
     let a = c.input();
     let b = c.input();

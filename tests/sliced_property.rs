@@ -4,7 +4,7 @@
 //! randomized batches (including ragged tails and cold-combo misses
 //! mid-batch), dense LUT rows must survive a `lut_store` round-trip and
 //! `split()`, and the scheduler's logic-only drain must stay
-//! output-equivalent with adaptive rebalancing enabled.
+//! output-equivalent over two shards.
 
 use proptest::prelude::*;
 use spinwave_parallel::core::backend::{BackendChoice, OperandSet};
@@ -12,7 +12,7 @@ use spinwave_parallel::core::lut_store::{load_lut, save_lut};
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::core::truth::LogicFunction;
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{AdaptiveConfig, SchedulerBuilder, ServeConfig, Ticket};
+use spinwave_parallel::serve::{SchedulerBuilder, ServeConfig, Ticket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -202,10 +202,10 @@ fn split_preserves_dense_rows_and_resets_counters() {
 }
 
 /// The scheduler's logic-only drain stays output-equivalent to
-/// sequential evaluation with adaptive rebalancing on, and tickets
-/// carry no per-channel readouts.
+/// sequential evaluation on two shards, and tickets carry no
+/// per-channel readouts.
 #[test]
-fn scheduler_logic_only_equivalence_with_rebalancing() {
+fn scheduler_logic_only_equivalence_over_two_shards() {
     let gate = build_gate(8, 3, LogicFunction::Majority);
     let mut builder = SchedulerBuilder::new(ServeConfig {
         workers: 2,
@@ -213,11 +213,6 @@ fn scheduler_logic_only_equivalence_with_rebalancing() {
         linger: Duration::from_micros(50),
         queue_depth: 256,
         lut_dir: None,
-        adaptive: AdaptiveConfig {
-            rebalance: true,
-            rebalance_interval: 8,
-            ..AdaptiveConfig::default()
-        },
     });
     let id = builder
         .register("maj3", gate.clone(), BackendChoice::Cached)
