@@ -120,24 +120,8 @@ impl RippleCarryAdder {
         a_bits: &[Word],
         b_bits: &[Word],
     ) -> Result<Vec<Word>, GateError> {
-        self.add_words_on(bank, a_bits, b_bits)
-    }
-
-    /// [`RippleCarryAdder::add_words`] with every gate routed through
-    /// any [`crate::netlist::GateDispatcher`] — an inline bank or a
-    /// serving scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Operand validation plus gate/backend errors from the dispatcher.
-    pub fn add_words_on(
-        &self,
-        dispatcher: &mut dyn crate::netlist::GateDispatcher,
-        a_bits: &[Word],
-        b_bits: &[Word],
-    ) -> Result<Vec<Word>, GateError> {
         let inputs = self.gather_operands(a_bits, b_bits)?;
-        self.circuit.evaluate_on(dispatcher, &inputs)
+        self.circuit.evaluate_with(bank, &inputs)
     }
 
     fn gather_operands(&self, a_bits: &[Word], b_bits: &[Word]) -> Result<Vec<Word>, GateError> {
@@ -178,24 +162,8 @@ impl RippleCarryAdder {
         a: &[u64],
         b: &[u64],
     ) -> Result<Vec<u64>, GateError> {
-        self.add_many_on(bank, a, b)
-    }
-
-    /// [`RippleCarryAdder::add_many`] with every gate routed through
-    /// any [`crate::netlist::GateDispatcher`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RippleCarryAdder::add_many`], plus
-    /// gate/backend errors from the dispatcher.
-    pub fn add_many_on(
-        &self,
-        dispatcher: &mut dyn crate::netlist::GateDispatcher,
-        a: &[u64],
-        b: &[u64],
-    ) -> Result<Vec<u64>, GateError> {
         let (a_bits, b_bits) = self.transpose_operands(a, b)?;
-        let outputs = self.add_words_on(dispatcher, &a_bits, &b_bits)?;
+        let outputs = self.add_words_with(bank, &a_bits, &b_bits)?;
         Ok(transpose_from_words(&outputs, self.word_width))
     }
 

@@ -198,38 +198,20 @@ impl Alu {
         self.execute_inner(op, a, b, Some(bank))
     }
 
-    /// [`Alu::execute`] with every gate routed through any
-    /// [`crate::netlist::GateDispatcher`] — an inline bank or a serving
-    /// scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Alu::execute`], plus gate/backend errors
-    /// from the dispatcher.
-    pub fn execute_on(
-        &self,
-        dispatcher: &mut dyn crate::netlist::GateDispatcher,
-        op: AluOp,
-        a: &[u64],
-        b: &[u64],
-    ) -> Result<Vec<u64>, GateError> {
-        self.execute_inner(op, a, b, Some(dispatcher))
-    }
-
     fn execute_inner(
         &self,
         op: AluOp,
         a: &[u64],
         b: &[u64],
-        mut dispatcher: Option<&mut dyn crate::netlist::GateDispatcher>,
+        mut bank: Option<&mut crate::netlist::GateBank>,
     ) -> Result<Vec<u64>, GateError> {
         self.check_operands(a, b)?;
         let a_words = transpose_to_words(a, self.bit_width, self.word_width)?;
         let b_words = transpose_to_words(b, self.bit_width, self.word_width)?;
         let inputs: Vec<Word> = a_words.iter().chain(b_words.iter()).copied().collect();
         let mut run = |circuit: &Circuit| -> Result<Vec<Word>, GateError> {
-            match dispatcher.as_deref_mut() {
-                Some(d) => circuit.evaluate_on(d, &inputs),
+            match bank.as_deref_mut() {
+                Some(bank) => circuit.evaluate_with(bank, &inputs),
                 None => circuit.evaluate(&inputs),
             }
         };

@@ -11,11 +11,10 @@
 //!   analytic to cached to micromagnetic evaluation is the one-line
 //!   change of its [`BackendChoice`].
 //!
-//! The physical path is abstracted behind [`GateDispatcher`]: a
-//! [`GateBank`] dispatches inline on its own sessions, while the
-//! `magnon-serve` crate's `ScheduledBank` submits the same per-node
-//! batches to a sharded scheduler, so whole circuits (adders, ALUs,
-//! parity trees) ride cross-request coalescing without knowing it.
+//! To serve a circuit through the sharded scheduler instead, compile
+//! it (`magnon-compiler`) and run the plan on the `magnon-serve`
+//! crate's `CircuitExecutor`, which submits each gate node as a
+//! scheduler request the moment its operands complete.
 
 use magnon_core::backend::{BackendChoice, GateSession, OperandSet};
 use magnon_core::gate::{GateOutput, ParallelGateBuilder};
@@ -51,49 +50,6 @@ impl GateShape {
             GateShape::Xor2 => 2,
         }
     }
-}
-
-/// Evaluates batches of physical gate invocations on behalf of a
-/// [`Circuit`] walk.
-///
-/// Implementations decide *where* the work runs: [`GateBank`] evaluates
-/// inline on per-shape [`GateSession`]s; the `magnon-serve` scheduler
-/// fans the same batches out across worker shards and coalesces them
-/// with unrelated traffic.
-pub trait GateDispatcher {
-    /// Word width every dispatched gate carries.
-    fn width(&self) -> usize;
-
-    /// Evaluates `batch` on the physical gate of `shape`, preserving
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Gate-construction, operand-shape and backend errors.
-    fn dispatch(
-        &mut self,
-        shape: GateShape,
-        batch: &[OperandSet],
-    ) -> Result<Vec<GateOutput>, GateError>;
-
-    /// Traffic this dispatcher has carried so far (all zero for
-    /// implementations that do not track it).
-    fn dispatch_stats(&self) -> DispatchStats {
-        DispatchStats::default()
-    }
-}
-
-/// Counters a [`GateDispatcher`] keeps about the traffic it carried —
-/// the circuit-side view of how much physical gate work an evaluation
-/// generated (and, for scheduled dispatchers, how much of it could
-/// coalesce downstream).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DispatchStats {
-    /// [`GateDispatcher::dispatch`] calls issued (one per circuit node
-    /// per batch).
-    pub dispatch_calls: u64,
-    /// Operand sets carried across those calls.
-    pub sets_dispatched: u64,
 }
 
 /// Channel spacing that keeps `width` channels inside the paper's
@@ -269,8 +225,6 @@ pub struct GateBank {
     choice: BackendChoice,
     maj3: Option<GateSession>,
     xor2: Option<GateSession>,
-    dispatch_calls: u64,
-    sets_dispatched: u64,
 }
 
 impl GateBank {
@@ -287,8 +241,6 @@ impl GateBank {
             choice,
             maj3: None,
             xor2: None,
-            dispatch_calls: 0,
-            sets_dispatched: 0,
         }
     }
 
@@ -346,8 +298,6 @@ impl GateBank {
             choice,
             maj3,
             xor2,
-            dispatch_calls: 0,
-            sets_dispatched: 0,
         })
     }
 
@@ -395,32 +345,18 @@ impl GateBank {
         }
         Ok(self.xor2.as_mut().expect("just built"))
     }
-}
 
-impl GateDispatcher for GateBank {
-    fn width(&self) -> usize {
-        self.width
-    }
-
+    /// Evaluates `batch` on the session of `shape`, preserving order.
     fn dispatch(
         &mut self,
         shape: GateShape,
         batch: &[OperandSet],
     ) -> Result<Vec<GateOutput>, GateError> {
-        self.dispatch_calls += 1;
-        self.sets_dispatched += batch.len() as u64;
         let session = match shape {
             GateShape::Maj3 => self.maj3_session()?,
             GateShape::Xor2 => self.xor2_session()?,
         };
         session.evaluate_batch(batch)
-    }
-
-    fn dispatch_stats(&self) -> DispatchStats {
-        DispatchStats {
-            dispatch_calls: self.dispatch_calls,
-            sets_dispatched: self.sets_dispatched,
-        }
     }
 }
 
@@ -700,72 +636,42 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// * Operand shape errors as in [`Circuit::evaluate`].
-    /// * Gate-construction and backend errors from the bank.
+    /// Same conditions as [`Circuit::evaluate_batch_with`].
     pub fn evaluate_with(
         &self,
         bank: &mut GateBank,
         inputs: &[Word],
     ) -> Result<Vec<Word>, GateError> {
-        self.evaluate_on(bank, inputs)
+        let sets = [inputs.to_vec()];
+        let mut outputs = self.evaluate_batch_with(bank, &sets)?;
+        Ok(outputs.pop().expect("one set in, one set out"))
     }
 
     /// Evaluates many operand sets through `bank`'s physical gates.
     ///
+    /// The walk is node-major: each MAJ/XOR node sends *all* sets to
+    /// the bank's session as one batch, so the per-node gate work is
+    /// batched exactly where the paper's data parallelism lives.
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`Circuit::evaluate_batch_on`].
+    /// * Operand shape errors as in [`Circuit::evaluate`], per set.
+    /// * [`GateError::WordWidthMismatch`] when the bank's gates carry a
+    ///   different word width than the circuit.
+    /// * Gate-construction and backend errors from the bank.
     pub fn evaluate_batch_with(
         &self,
         bank: &mut GateBank,
         sets: &[Vec<Word>],
     ) -> Result<Vec<Vec<Word>>, GateError> {
-        self.evaluate_batch_on(bank, sets)
-    }
-
-    /// Evaluates one operand set through any [`GateDispatcher`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Circuit::evaluate_batch_on`].
-    pub fn evaluate_on(
-        &self,
-        dispatcher: &mut dyn GateDispatcher,
-        inputs: &[Word],
-    ) -> Result<Vec<Word>, GateError> {
-        let sets = [inputs.to_vec()];
-        let mut outputs = self.evaluate_batch_on(dispatcher, &sets)?;
-        Ok(outputs.pop().expect("one set in, one set out"))
-    }
-
-    /// Evaluates many operand sets through any [`GateDispatcher`] —
-    /// an inline [`GateBank`] or a serving scheduler.
-    ///
-    /// The walk is node-major: each MAJ/XOR node sends *all* sets to the
-    /// dispatcher as one [`GateDispatcher::dispatch`] batch, so the
-    /// per-node gate work is batched exactly where the paper's data
-    /// parallelism lives (and a scheduler-backed dispatcher can coalesce
-    /// it further with unrelated traffic).
-    ///
-    /// # Errors
-    ///
-    /// * Operand shape errors as in [`Circuit::evaluate`], per set.
-    /// * [`GateError::WordWidthMismatch`] when the dispatcher's gates
-    ///   carry a different word width than the circuit.
-    /// * Gate-construction and backend errors from the dispatcher.
-    pub fn evaluate_batch_on(
-        &self,
-        dispatcher: &mut dyn GateDispatcher,
-        sets: &[Vec<Word>],
-    ) -> Result<Vec<Vec<Word>>, GateError> {
-        if dispatcher.width() != self.width {
+        if bank.width() != self.width {
             return Err(GateError::WordWidthMismatch {
                 expected: self.width,
-                actual: dispatcher.width(),
+                actual: bank.width(),
             });
         }
         self.run_engine(sets, |shape, batch| {
-            Ok(dispatcher
+            Ok(bank
                 .dispatch(shape, batch)?
                 .into_iter()
                 .map(|out| out.word())
@@ -776,10 +682,8 @@ impl Circuit {
     /// The one circuit-walk engine every `evaluate_*` entry point
     /// shares, parameterized by how a per-node batch of gate operands
     /// turns into output words: the boolean reference semantics
-    /// computes them bitwise, the physical paths hand them to a
-    /// [`GateDispatcher`] (inline bank, serving scheduler), and a
-    /// compiled plan's executor replays the same node order through
-    /// scheduler tickets.
+    /// computes them bitwise, the physical path hands them to a
+    /// [`GateBank`] session.
     ///
     /// The walk is node-major: each MAJ/XOR node evaluates *all* sets
     /// as one batch, free nodes (inputs, constants, inversions) resolve
@@ -1087,27 +991,22 @@ mod tests {
             8,
             BackendChoice::Cached,
         );
-        let dispatcher: &mut dyn GateDispatcher = &mut bank;
-        assert_eq!(dispatcher.width(), 8);
+        assert_eq!(bank.width(), 8);
         let batch = vec![OperandSet::new(vec![
             Word::from_u8(0x0F),
             Word::from_u8(0x33),
             Word::from_u8(0x55),
         ])];
-        let outs = dispatcher.dispatch(GateShape::Maj3, &batch).unwrap();
+        let outs = bank.dispatch(GateShape::Maj3, &batch).unwrap();
         assert_eq!(outs[0].word().to_u8(), 0x17);
         let batch = vec![OperandSet::new(vec![
             Word::from_u8(0xF0),
             Word::from_u8(0xAA),
         ])];
-        let outs = dispatcher.dispatch(GateShape::Xor2, &batch).unwrap();
+        let outs = bank.dispatch(GateShape::Xor2, &batch).unwrap();
         assert_eq!(outs[0].word().to_u8(), 0x5A);
         assert_eq!(GateShape::Maj3.function(), LogicFunction::Majority);
         assert_eq!(GateShape::Xor2.input_count(), 2);
-        // The bank surfaces its traffic counters through the trait.
-        let stats = dispatcher.dispatch_stats();
-        assert_eq!(stats.dispatch_calls, 2);
-        assert_eq!(stats.sets_dispatched, 2);
     }
 
     #[test]

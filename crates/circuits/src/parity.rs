@@ -115,22 +115,7 @@ impl ParityTree {
         bank: &mut crate::netlist::GateBank,
         inputs: &[magnon_core::word::Word],
     ) -> Result<magnon_core::word::Word, GateError> {
-        self.evaluate_on(bank, inputs)
-    }
-
-    /// [`ParityTree::evaluate`] with every XOR routed through any
-    /// [`crate::netlist::GateDispatcher`] — an inline bank or a serving
-    /// scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Operand validation plus gate/backend errors from the dispatcher.
-    pub fn evaluate_on(
-        &self,
-        dispatcher: &mut dyn crate::netlist::GateDispatcher,
-        inputs: &[magnon_core::word::Word],
-    ) -> Result<magnon_core::word::Word, GateError> {
-        Ok(self.circuit.evaluate_on(dispatcher, inputs)?[0])
+        Ok(self.circuit.evaluate_with(bank, inputs)?[0])
     }
 }
 

@@ -90,20 +90,6 @@ impl From<GateError> for ServeError {
     }
 }
 
-impl ServeError {
-    /// Collapses into a [`GateError`] for callers behind
-    /// backend-agnostic interfaces (runtime failures become
-    /// [`GateError::Runtime`]).
-    pub fn into_gate_error(self) -> GateError {
-        match self {
-            ServeError::Gate(e) => e,
-            other => GateError::Runtime {
-                reason: other.to_string(),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,23 +103,17 @@ mod tests {
         .into();
         assert!(e.to_string().contains("gate error"));
         assert!(matches!(
-            e.clone().into_gate_error(),
-            GateError::InputCountMismatch { .. }
+            e,
+            ServeError::Gate(GateError::InputCountMismatch { .. })
         ));
         let e = ServeError::QueueFull { shard: 2 };
         assert!(e.to_string().contains("shard 2"));
-        assert!(matches!(e.into_gate_error(), GateError::Runtime { .. }));
         assert!(ServeError::Shutdown.to_string().contains("shut down"));
         assert!(ServeError::Timeout.to_string().contains("deadline"));
-        assert!(matches!(
-            ServeError::Timeout.into_gate_error(),
-            GateError::Runtime { .. }
-        ));
         let e = ServeError::Config {
             reason: "max_batch must be at least 1".into(),
         };
         assert!(e.to_string().contains("invalid serving configuration"));
-        assert!(matches!(e.into_gate_error(), GateError::Runtime { .. }));
         assert!(ServeError::UnknownGate { index: 9 }
             .to_string()
             .contains('9'));

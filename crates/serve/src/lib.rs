@@ -17,15 +17,13 @@
 //!   sessions of their gates;
 //! * **lock-free [`telemetry`]** — per-shard queue, drain and LUT
 //!   gauges and per-lane served counters, read as one snapshot;
-//! * [`ScheduledBank`] — plugs the scheduler into circuit evaluation
-//!   ([`magnon_circuits::netlist::GateDispatcher`]), so adders, ALUs
-//!   and parity trees ride the same coalescing;
-//! * [`CircuitExecutor`] — runs compiled circuit plans
-//!   ([`magnon_compiler::CompiledCircuit`]) through the scheduler with
-//!   dependency-aware pipelined submission: each gate node's request
+//! * [`CircuitExecutor`] — the one way to serve a whole circuit: it
+//!   runs a compiled plan ([`magnon_compiler::CompiledCircuit`],
+//!   registered with [`register_compiled`]) through the scheduler with
+//!   dependency-aware pipelined submission. Each gate node's request
 //!   goes out the moment its operands complete, so independent
 //!   subgraphs (and different operand sets) interleave across shards
-//!   instead of marching level by level;
+//!   and frequency lanes instead of marching level by level;
 //! * **LUT persistence** — with [`ServeConfig::lut_dir`] set, cached
 //!   backends save their truth-table LUTs on
 //!   [`Scheduler::shutdown`] and reload them on
@@ -35,20 +33,23 @@
 //! # Example
 //!
 //! ```
+//! use magnon_circuits::adder::{transpose_from_words, transpose_to_words, RippleCarryAdder};
+//! use magnon_compiler::{compile, CompilerConfig};
 //! use magnon_core::backend::{BackendChoice, OperandSet};
 //! use magnon_core::prelude::*;
 //! use magnon_physics::waveguide::Waveguide;
-//! use magnon_serve::{ScheduledBank, SchedulerBuilder, ServeConfig};
-//! use magnon_circuits::adder::RippleCarryAdder;
+//! use magnon_serve::{register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let guide = Waveguide::paper_default()?;
+//! let adder = RippleCarryAdder::new(8, 8)?;
+//! let plan = compile(adder.circuit(), &guide, &CompilerConfig::default())?;
+//!
 //! let mut builder = SchedulerBuilder::new(ServeConfig::default());
-//! let (maj3, xor2) = builder.register_circuit_gates(
-//!     Waveguide::paper_default()?,
-//!     WaveguideId(0),
-//!     8,
-//!     BackendChoice::Cached,
-//! )?;
+//! // A raw MAJ-3/XOR-2 pair on waveguide 0, the adder's plan above it.
+//! let (maj3, _xor2) =
+//!     builder.register_circuit_gates(guide, WaveguideId(0), 8, BackendChoice::Cached)?;
+//! let gates = register_compiled(&mut builder, &plan, guide, WaveguideId(1), BackendChoice::Cached)?;
 //! let scheduler = builder.build()?;
 //!
 //! // Raw gate traffic…
@@ -57,30 +58,31 @@
 //! ]))?;
 //! assert_eq!(ticket.wait()?.word().to_u8(), 0x17);
 //!
-//! // …and whole circuits share the same shards and batches.
-//! let adder = RippleCarryAdder::new(8, 8)?;
-//! let mut bank = ScheduledBank::new(&scheduler, maj3, xor2)?;
-//! let sums = adder.add_many_on(
-//!     &mut bank,
-//!     &[100, 200, 15, 0, 255, 1, 77, 128],
-//!     &[27, 55, 240, 0, 1, 255, 23, 127],
-//! )?;
+//! // …and a whole compiled circuit on the same shards: eight 8-bit
+//! // additions, one per frequency channel of every wire.
+//! let a = [100, 200, 15, 0, 255, 1, 77, 128];
+//! let b = [27, 55, 240, 0, 1, 255, 23, 127];
+//! let inputs: Vec<Word> = transpose_to_words(&a, 8, 8)?
+//!     .into_iter()
+//!     .chain(transpose_to_words(&b, 8, 8)?)
+//!     .collect();
+//! let mut executor = CircuitExecutor::new(&scheduler, &plan, &gates)?;
+//! let sums = transpose_from_words(&executor.run(&inputs)?, 8);
+//! assert_eq!(sums, adder.add_many(&a, &b)?);
 //! assert_eq!(sums[0], 127);
 //! scheduler.shutdown()?;
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod dispatch;
 pub mod error;
 pub mod pipeline;
 pub mod request;
 pub mod scheduler;
 pub mod telemetry;
 
-pub use dispatch::ScheduledBank;
 pub use error::ServeError;
-pub use pipeline::{register_compiled, CircuitExecutor, CompiledGates};
+pub use pipeline::{register_compiled, CircuitExecutor, CompiledGates, DispatchStats};
 pub use request::{GateId, SchedulerStats, Ticket};
 pub use scheduler::{Scheduler, SchedulerBuilder, ServeConfig, ShutdownReport};
 pub use telemetry::{LaneTelemetry, ShardTelemetry, TelemetrySnapshot};
@@ -291,32 +293,6 @@ mod tests {
         assert!(stats.coalesced_requests > 0);
         assert!(stats.max_drain > 1);
         assert!(stats.mean_drain() > 1.0);
-        scheduler.shutdown().unwrap();
-    }
-
-    #[test]
-    fn scheduled_bank_runs_circuits_through_the_runtime() {
-        use magnon_circuits::alu::{Alu, AluOp};
-        let mut builder = SchedulerBuilder::new(quick_config(2));
-        let (maj3, xor2) = builder
-            .register_circuit_gates(
-                Waveguide::paper_default().unwrap(),
-                WaveguideId(0),
-                8,
-                BackendChoice::Cached,
-            )
-            .unwrap();
-        let scheduler = builder.build().unwrap();
-        let alu = Alu::new(8, 8).unwrap();
-        let a = [200u64, 15, 255, 0, 77, 128, 33, 1];
-        let b = [55u64, 15, 1, 0, 12, 127, 3, 254];
-        for op in [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::Xor] {
-            let mut bank = ScheduledBank::new(&scheduler, maj3, xor2).unwrap();
-            let served = alu.execute_on(&mut bank, op, &a, &b).unwrap();
-            assert_eq!(served, alu.execute(op, &a, &b).unwrap(), "{op:?}");
-        }
-        // Slot validation: swapped ids are rejected.
-        assert!(ScheduledBank::new(&scheduler, xor2, maj3).is_err());
         scheduler.shutdown().unwrap();
     }
 

@@ -1,4 +1,5 @@
-//! Pipelined execution of compiled circuit plans.
+//! Pipelined execution of compiled circuit plans — the one way to
+//! serve a whole circuit through the scheduler.
 //!
 //! A [`magnon_compiler::CompiledCircuit`] carries ASAP wavefronts and a
 //! `(waveguide, lane)` slot table; this module runs such plans
@@ -15,11 +16,13 @@
 //! registrations (one MAJ-3/XOR-2 pair per slot, on the slot's
 //! frequency lane), rebased onto a caller-chosen first waveguide id so
 //! several plans can share one scheduler.
+//! [`CircuitExecutor::dispatch_stats`] reports the traffic a plan's
+//! runs generated as [`DispatchStats`].
 
 use crate::error::ServeError;
 use crate::request::{GateId, Ticket};
 use crate::scheduler::{Scheduler, SchedulerBuilder};
-use magnon_circuits::netlist::{DispatchStats, GateShape, NodeKind};
+use magnon_circuits::netlist::{GateShape, NodeKind};
 use magnon_compiler::CompiledCircuit;
 use magnon_core::backend::{BackendChoice, OperandSet};
 use magnon_core::gate::WaveguideId;
@@ -43,7 +46,6 @@ const PARK: Duration = Duration::from_micros(100);
 pub struct CompiledGates {
     slots: Vec<(GateId, GateId)>,
     width: usize,
-    first_waveguide: WaveguideId,
 }
 
 impl CompiledGates {
@@ -55,12 +57,6 @@ impl CompiledGates {
     /// Word width of every registered gate.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// The scheduler waveguide id plan-relative waveguide 0 was rebased
-    /// onto.
-    pub fn first_waveguide(&self) -> WaveguideId {
-        self.first_waveguide
     }
 }
 
@@ -94,11 +90,19 @@ pub fn register_compiled(
         )?;
         slots.push(pair);
     }
-    Ok(CompiledGates {
-        slots,
-        width,
-        first_waveguide,
-    })
+    Ok(CompiledGates { slots, width })
+}
+
+/// Traffic a [`CircuitExecutor`] has submitted — the circuit-side view
+/// of how much physical gate work its runs generated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchStats {
+    /// Gate-node batches issued: one per gate node per
+    /// [`CircuitExecutor::run_batch`] call.
+    pub dispatch_calls: u64,
+    /// Scheduler requests across those batches: one per
+    /// `(gate node, operand set)`.
+    pub sets_dispatched: u64,
 }
 
 /// Per-run value/dependency state: `values[set][node]`, unresolved
@@ -189,15 +193,9 @@ impl<'a> CircuitExecutor<'a> {
         })
     }
 
-    /// The plan this executor runs.
-    pub fn compiled(&self) -> &CompiledCircuit {
-        self.compiled
-    }
-
-    /// Traffic counters: one dispatch call per gate node per run, one
-    /// dispatched set per `(gate node, operand set)` submission — the
-    /// same accounting a [`crate::ScheduledBank`] reports, so compiled
-    /// and interpreter runs compare directly.
+    /// Traffic counters across every run so far: one dispatch call per
+    /// gate node per run, one dispatched set per
+    /// `(gate node, operand set)` submission.
     pub fn dispatch_stats(&self) -> DispatchStats {
         DispatchStats {
             dispatch_calls: self.dispatch_calls,

@@ -92,9 +92,9 @@ use std::path::PathBuf;
 pub struct ServeConfig {
     /// Worker shard count (clamped to ≥ 1). Placement is static: each
     /// distinct waveguide, with every lane on it, is served by shard
-    /// `mix64(waveguide_id) % workers` (a multiplicative bit-mix, so
-    /// ids sharing factors with the worker count still spread) for the
-    /// scheduler's lifetime.
+    /// `(mix64(waveguide_id) >> 32) % workers` (the high half of a
+    /// multiplicative bit-mix, so ids sharing factors with the worker
+    /// count still spread) for the scheduler's lifetime.
     pub workers: usize,
     /// Largest number of requests one drain cycle serves. Zero is
     /// rejected by [`SchedulerBuilder::build`] — it would silently
@@ -820,12 +820,13 @@ impl Worker {
             .iter()
             .filter_map(|group| group.first().map(|job| job.gate))
             .collect(); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-                        // Borrow every lead session at once by lifting them out of the
-                        // slot table for the duration of the stacked call. Every gate
-                        // routed here has its session on this shard, so a missing slot
-                        // means the table is inconsistent — restore what was taken and
-                        // serve per group (failing only that gate's requests) rather
-                        // than panic mid-drain.
+
+        // Borrow every lead session at once by lifting them out of the
+        // slot table for the duration of the stacked call. Every gate
+        // routed here has its session on this shard, so a missing slot
+        // means the table is inconsistent — restore what was taken and
+        // serve per group (failing only that gate's requests) rather
+        // than panic mid-drain.
         let mut sessions: Vec<GateSession> = Vec::with_capacity(leads.len()); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
         for &lead in &leads {
             match self.sessions.get_mut(lead).and_then(Option::take) {

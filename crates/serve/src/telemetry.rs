@@ -37,8 +37,9 @@ struct ShardCounters {
     drained: AtomicU64,
     /// Drain cycles completed.
     drain_cycles: AtomicU64,
-    /// Drain cycles that filled to the batch cap (linger utilization:
-    /// `full_drains / drain_cycles` ≈ how often the window saturates).
+    /// Drain cycles that filled to the `max_batch` cap
+    /// (`full_drains / drain_cycles` ≈ how often backlog outruns the
+    /// cap).
     full_drains: AtomicU64,
     /// LUT lookups answered from memory, summed over the shard's live
     /// cached sessions (a gauge the worker republishes after each
@@ -245,22 +246,6 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Largest per-shard `drained` divided by the smallest (∞ when a
-    /// shard never drained anything): 1.0 is a perfectly even split.
-    pub fn drain_skew(&self) -> f64 {
-        let max = self.shards.iter().map(|s| s.drained).max().unwrap_or(0);
-        let min = self.shards.iter().map(|s| s.drained).min().unwrap_or(0);
-        if min == 0 {
-            if max == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            max as f64 / min as f64
-        }
-    }
-
     /// Fraction of LUT lookups answered from memory across all shards
     /// (1.0 when every lookup hit; `None` before any cached session
     /// reported).
@@ -284,8 +269,7 @@ pub struct ShardTelemetry {
     pub drained: u64,
     /// Drain cycles since start.
     pub drain_cycles: u64,
-    /// Drain cycles that filled to `max_batch` (the linger-utilization
-    /// numerator).
+    /// Drain cycles that filled to the `max_batch` cap.
     pub full_drains: u64,
     /// The worker's fixed linger window ([`crate::ServeConfig::linger`]).
     pub linger: Duration,
@@ -388,7 +372,6 @@ mod tests {
         assert_eq!(snap.shards[0].drain_cycles, 1);
         assert_eq!(snap.shards[0].full_drains, 1);
         assert_eq!(snap.shards[0].linger, linger);
-        assert_eq!(snap.drain_skew(), 1.0);
     }
 
     #[test]

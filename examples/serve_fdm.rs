@@ -1,35 +1,58 @@
-//! Frequency-division multiplexed serving: an adder and an ALU share
-//! ONE physical waveguide on two frequency lanes.
+//! Frequency-division multiplexed serving: a compiled adder's gates
+//! share ONE physical waveguide on several frequency lanes.
 //!
 //! The companion paper (*Multi-frequency Data Parallel Spin Wave Logic
 //! Gates*, arXiv:2008.12220) shows spin waves at different frequencies
 //! coexist on one waveguide, so gates patterned on disjoint bands
-//! compute simultaneously on the same medium. Here lane 0 carries the
-//! adder's MAJ/XOR pair (10–80 GHz) and lane 1 the ALU's (100–170
-//! GHz); two client threads drive both circuits concurrently and the
-//! scheduler stacks each whole-waveguide drain into a single
-//! multi-lane pass — serving density doubles with zero extra hardware:
+//! compute simultaneously on the same medium. Here the compiler may
+//! claim a single waveguide, so it places the 8-bit ripple-carry
+//! adder's MAJ/XOR nodes on disjoint lanes of it (lane 0 at 10–80 GHz,
+//! lane 1 at 100–170 GHz, …). The plan runs pipelined through the
+//! scheduler, and drains that hold requests for several lanes serve
+//! them as one multi-lane pass — serving density grows with zero extra
+//! hardware:
 //!
 //! ```text
 //! cargo run --release --example serve_fdm
 //! ```
 
-use spinwave_parallel::circuits::adder::RippleCarryAdder;
-use spinwave_parallel::circuits::alu::{Alu, AluOp};
-use spinwave_parallel::core::backend::BackendChoice;
+use spinwave_parallel::circuits::adder::{
+    transpose_from_words, transpose_to_words, RippleCarryAdder,
+};
+use spinwave_parallel::compiler::{compile, CompilerConfig};
+use spinwave_parallel::core::backend::{BackendChoice, OperandSet};
 use spinwave_parallel::core::crosstalk::LaneIsolationReport;
 use spinwave_parallel::core::layout_report::render_lane_spectrum;
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::core::robustness::{monte_carlo_error_rate, NoiseModel};
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{ScheduledBank, SchedulerBuilder, ServeConfig};
+use spinwave_parallel::serve::{register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig};
 use std::time::{Duration, Instant};
 
 const WIDTH: usize = 8;
-const OPS: [AluOp; 5] = [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::Xor];
+const BATCHES: u64 = 5;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let guide = Waveguide::paper_default()?;
+    let adder = RippleCarryAdder::new(WIDTH, WIDTH)?;
+    let plan = compile(
+        adder.circuit(),
+        &guide,
+        &CompilerConfig {
+            max_waveguides: 1,
+            ..Default::default()
+        },
+    )?;
+    let report = plan.report();
+    println!(
+        "adder: {} gates placed on {} lanes of {} waveguide",
+        report.gate_counts.maj3 + report.gate_counts.xor2,
+        report.slot_count,
+        report.waveguides_used,
+    );
+    assert_eq!(report.waveguides_used, 1);
+    assert!(report.slot_count >= 2, "the adder must span several lanes");
+
     let mut builder = SchedulerBuilder::new(ServeConfig {
         workers: 1, // one waveguide — all lanes live on one shard
         max_batch: 256,
@@ -37,31 +60,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         queue_depth: 1024,
         lut_dir: None,
     });
-    let (adder_maj, adder_xor) = builder.register_circuit_gates_on_lane(
+    let gates = register_compiled(
+        &mut builder,
+        &plan,
         guide,
         WaveguideId(0),
-        LaneId(0),
-        WIDTH,
-        BackendChoice::Cached,
-    )?;
-    let (alu_maj, alu_xor) = builder.register_circuit_gates_on_lane(
-        guide,
-        WaveguideId(0),
-        LaneId(1),
-        WIDTH,
         BackendChoice::Cached,
     )?;
     let scheduler = builder.build()?;
 
-    // The FDM assignment: two lanes, disjoint bands, one waveguide.
-    let lane0 = scheduler.gate(adder_maj).unwrap().channel_plan().clone();
-    let lane1 = scheduler.gate(alu_maj).unwrap().channel_plan().clone();
+    // The FDM assignment: one slot per lane, disjoint bands, one
+    // waveguide.
+    let plans: Vec<(LaneId, ChannelPlan)> = plan
+        .slots()
+        .iter()
+        .zip(gates.slots())
+        .map(|(spec, &(maj, _))| {
+            (
+                spec.lane,
+                scheduler.gate(maj).unwrap().channel_plan().clone(),
+            )
+        })
+        .collect();
+    let lanes: Vec<(LaneId, &ChannelPlan)> = plans.iter().map(|(l, p)| (*l, p)).collect();
     println!("lane spectrum of waveguide 0:");
-    print!(
-        "{}",
-        render_lane_spectrum(&[(LaneId(0), &lane0), (LaneId(1), &lane1)], 64)
-    );
-    let isolation = LaneIsolationReport::analyze(&[&lane0, &lane1], 0.5e9)?;
+    print!("{}", render_lane_spectrum(&lanes, 64));
+    let isolation =
+        LaneIsolationReport::analyze(&plans.iter().map(|(_, p)| p).collect::<Vec<_>>(), 0.5e9)?;
     println!(
         "inter-lane isolation: {:.1} dB (guard band {:.0} GHz, {} overlapping pairs)",
         isolation.isolation_db,
@@ -70,71 +95,69 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // Fold the crosstalk penalty into a robustness run: the stacked
     // lanes must not cost the majority vote its noise margin.
+    let (lane0_maj, _) = gates.slots()[0];
     let noise = NoiseModel::new(0.1, 0.02)?.with_lane_leakage(isolation.amplitude_leakage())?;
-    let robustness = monte_carlo_error_rate(scheduler.gate(adder_maj).unwrap(), noise, 25, 11)?;
+    let robustness = monte_carlo_error_rate(scheduler.gate(lane0_maj).unwrap(), noise, 25, 11)?;
     println!(
         "crosstalk-penalized robustness: {} failures in {} checks",
         robustness.failures, robustness.checks,
     );
     assert_eq!(robustness.failures, 0, "the FDM penalty must stay absorbed");
 
-    // Two circuits, one waveguide, driven concurrently.
-    let a: Vec<u64> = (0..WIDTH as u64).map(|i| (37 * i + 11) % 256).collect();
-    let b: Vec<u64> = (0..WIDTH as u64).map(|i| (91 * i + 170) % 256).collect();
-    let adder = RippleCarryAdder::new(WIDTH, WIDTH)?;
-    let alu = Alu::new(WIDTH, WIDTH)?;
+    // The adder's lanes, driven pipelined: every node request goes out
+    // the moment its operands complete, so nodes on different lanes
+    // queue together.
+    let operands: Vec<(Vec<u64>, Vec<u64>)> = (0..BATCHES)
+        .map(|k| {
+            let a = (0..WIDTH as u64).map(|i| (37 * i + 11 * k) % 256).collect();
+            let b = (0..WIDTH as u64)
+                .map(|i| (91 * i + 170 + k) % 256)
+                .collect();
+            (a, b)
+        })
+        .collect();
+    let sets = operands
+        .iter()
+        .map(|(a, b)| {
+            Ok(transpose_to_words(a, WIDTH, WIDTH)?
+                .into_iter()
+                .chain(transpose_to_words(b, WIDTH, WIDTH)?)
+                .collect())
+        })
+        .collect::<Result<Vec<Vec<Word>>, GateError>>()?;
+    let mut executor = CircuitExecutor::new(&scheduler, &plan, &gates)?;
     let start = Instant::now();
-    let (sums, alu_results) = std::thread::scope(|scope| {
-        let adder_lane = scope.spawn(|| {
-            let mut bank = ScheduledBank::new(&scheduler, adder_maj, adder_xor)?;
-            let mut sums = Vec::new();
-            for _ in 0..OPS.len() {
-                sums = adder.add_many_on(&mut bank, &a, &b)?;
-            }
-            Ok::<_, Box<dyn std::error::Error + Send + Sync>>(sums)
-        });
-        let alu_lane = scope.spawn(|| {
-            let mut bank = ScheduledBank::new(&scheduler, alu_maj, alu_xor)?;
-            let mut results = Vec::new();
-            for op in OPS {
-                results.push(alu.execute_on(&mut bank, op, &a, &b)?);
-            }
-            Ok::<_, Box<dyn std::error::Error + Send + Sync>>(results)
-        });
-        (
-            adder_lane.join().expect("adder thread"),
-            alu_lane.join().expect("alu thread"),
-        )
-    });
-    let sums = sums.expect("adder lane");
-    let alu_results = alu_results.expect("alu lane");
+    let outputs = executor.run_batch(&sets)?;
     let elapsed = start.elapsed();
 
-    // Both circuits computed correctly through the shared medium.
-    assert_eq!(sums, adder.add_many(&a, &b)?);
-    for (op, result) in OPS.iter().zip(&alu_results) {
-        assert_eq!(result, &alu.execute(*op, &a, &b)?, "{op:?}");
+    // The circuit computed correctly through the shared medium.
+    for ((a, b), out) in operands.iter().zip(&outputs) {
+        assert_eq!(
+            transpose_from_words(out, WIDTH),
+            adder.add_many(a, b)?,
+            "a={a:?} b={b:?}"
+        );
     }
     println!(
-        "\nadder + ALU on one waveguide in {elapsed:?}: sums[0]={}, alu add[0]={}",
-        sums[0], alu_results[0][0],
+        "\n{BATCHES} adder batches on one waveguide in {elapsed:?}, peak {} requests in flight",
+        executor.peak_in_flight(),
     );
 
     // A deterministic co-queued burst: submit everything before waiting,
-    // so both lanes are pending together whatever the thread timing
+    // so two lanes are pending together whatever the pipelined timing
     // above did — this is what the stacked-pass assertion below pins.
-    use spinwave_parallel::core::backend::OperandSet;
+    let (lane1_maj, _) = gates.slots()[1];
     let burst: Vec<_> = (0..32u64)
         .map(|i| {
-            let gate = if i % 2 == 0 { adder_maj } else { alu_maj };
+            let gate = if i % 2 == 0 { lane0_maj } else { lane1_maj };
             let words = (0..3)
                 .map(|j| Word::from_u8((i.wrapping_mul(0x9E37_79B9) >> (8 * j)) as u8))
                 .collect();
             (gate, OperandSet::new(words))
         })
         .collect();
-    let outputs = scheduler.evaluate_many(&burst)?;
-    for ((gate, set), output) in burst.iter().zip(&outputs) {
+    let burst_out = scheduler.evaluate_many(&burst)?;
+    for ((gate, set), output) in burst.iter().zip(&burst_out) {
         let reference = scheduler.gate(*gate).unwrap().evaluate(set.words())?;
         assert_eq!(output.word(), reference.word());
     }
@@ -163,11 +186,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert!(
         stats.fdm_batches > 0,
-        "co-queued two-lane traffic must stack into multi-lane passes: {stats:?}"
+        "co-queued multi-lane traffic must stack into multi-lane passes: {stats:?}"
     );
     let lane_served: u64 = telemetry.lanes.iter().map(|l| l.served).sum();
     assert_eq!(lane_served, stats.completed);
     scheduler.shutdown()?;
-    println!("OK: two circuits served concurrently by one waveguide over FDM lanes");
+    println!("OK: one compiled circuit served by one waveguide over FDM lanes");
     Ok(())
 }

@@ -1,5 +1,6 @@
 //! End-to-end serving pipeline: persisted LUTs, two shards, and a mixed
-//! adder/ALU/parity request stream through one scheduler.
+//! stream of compiled adder and parity-tree runs plus raw gate requests
+//! through one scheduler.
 //!
 //! Run twice to see the warm restart:
 //!
@@ -8,19 +9,30 @@
 //! cargo run --release --example serve_pipeline   # starts warm from disk
 //! ```
 
-use spinwave_parallel::circuits::adder::RippleCarryAdder;
-use spinwave_parallel::circuits::alu::{Alu, AluOp};
+use spinwave_parallel::circuits::adder::{
+    transpose_from_words, transpose_to_words, RippleCarryAdder,
+};
 use spinwave_parallel::circuits::parity::ParityTree;
+use spinwave_parallel::compiler::{compile, CompilerConfig};
 use spinwave_parallel::core::backend::{BackendChoice, OperandSet};
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{ScheduledBank, SchedulerBuilder, ServeConfig};
+use spinwave_parallel::serve::{register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig};
 use std::time::{Duration, Instant};
 
 const WIDTH: usize = 8;
 const ROUNDS: usize = 32;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let guide = Waveguide::paper_default()?;
+    let config = CompilerConfig::default();
+    // The circuits of the mixed workload, compiled onto FDM-placed
+    // `(waveguide, lane)` slots.
+    let adder = RippleCarryAdder::new(WIDTH, WIDTH)?;
+    let parity = ParityTree::new(4, WIDTH)?;
+    let adder_plan = compile(adder.circuit(), &guide, &config)?;
+    let parity_plan = compile(parity.circuit(), &guide, &config)?;
+
     let lut_dir = std::path::PathBuf::from("results/luts");
     let mut builder = SchedulerBuilder::new(ServeConfig {
         workers: 2,
@@ -29,19 +41,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         queue_depth: 1024,
         lut_dir: Some(lut_dir.clone()),
     });
-    // Two waveguides, each carrying a MAJ-3 + XOR-2 pair. With two
-    // workers, each waveguide gets its own shard; the gates *within* a
-    // waveguide share one and cross-gate coalesce.
-    let (maj3, xor2) = builder.register_circuit_gates(
-        Waveguide::paper_default()?,
+    // Disjoint waveguide-id blocks: the adder's slots from waveguide 0,
+    // the parity tree's directly above them. Each waveguide lands on
+    // one of the two shards; the lanes *within* a waveguide share it
+    // and stack into multi-lane passes.
+    let adder_gates = register_compiled(
+        &mut builder,
+        &adder_plan,
+        guide,
         WaveguideId(0),
-        WIDTH,
         BackendChoice::Cached,
     )?;
-    let (maj3_b, xor2_b) = builder.register_circuit_gates(
-        Waveguide::paper_default()?,
-        WaveguideId(1),
-        WIDTH,
+    let parity_first = WaveguideId(adder_plan.report().waveguides_used as u64);
+    let parity_gates = register_compiled(
+        &mut builder,
+        &parity_plan,
+        guide,
+        parity_first,
         BackendChoice::Cached,
     )?;
     let scheduler = builder.build()?;
@@ -52,6 +68,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scheduler.lut_entries_loaded(),
         lut_dir.display(),
     );
+    // Raw traffic targets the first slot of each plan.
+    let (maj3, xor2) = adder_gates.slots()[0];
+    let (maj3_b, xor2_b) = parity_gates.slots()[0];
     for id in [maj3, xor2, maj3_b, xor2_b] {
         println!(
             "  {} ({}) -> shard {}",
@@ -69,13 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("cold start: LUTs fill on demand and persist at shutdown");
     }
 
-    // The circuits of the mixed workload.
-    let adder = RippleCarryAdder::new(WIDTH, WIDTH)?;
-    let alu = Alu::new(WIDTH, WIDTH)?;
-    let parity = ParityTree::new(4, WIDTH)?;
-
+    let mut adder_exec = CircuitExecutor::new(&scheduler, &adder_plan, &adder_gates)?;
+    let mut parity_exec = CircuitExecutor::new(&scheduler, &parity_plan, &parity_gates)?;
     let start = Instant::now();
-    let mut evaluations = 0u64;
     for round in 0..ROUNDS as u64 {
         let a: Vec<u64> = (0..WIDTH as u64)
             .map(|i| (round * 37 + i * 11) % 256)
@@ -84,47 +99,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|i| (round * 59 + i * 23) % 256)
             .collect();
 
-        // Whole circuits ride the scheduler through a ScheduledBank…
-        let mut bank = ScheduledBank::new(&scheduler, maj3, xor2)?;
-        let sums = adder.add_many_on(&mut bank, &a, &b)?;
-        let mut bank = ScheduledBank::new(&scheduler, maj3, xor2)?;
-        let diffs = alu.execute_on(&mut bank, AluOp::Sub, &a, &b)?;
+        // Whole compiled circuits ride the scheduler pipelined…
+        let adder_inputs: Vec<Word> = transpose_to_words(&a, WIDTH, WIDTH)?
+            .into_iter()
+            .chain(transpose_to_words(&b, WIDTH, WIDTH)?)
+            .collect();
+        let sums = transpose_from_words(&adder_exec.run(&adder_inputs)?, WIDTH);
         let words: Vec<Word> = (0..4u64)
             .map(|j| Word::from_u8((round * 97 + j * 13) as u8))
             .collect();
-        let mut bank = ScheduledBank::new(&scheduler, maj3, xor2)?;
-        let par = parity.evaluate_on(&mut bank, &words)?;
+        let par = parity_exec.run(&words)?[0];
 
         // …interleaved with raw single-gate traffic on the same shards.
-        let raw = scheduler.submit(
-            maj3,
-            OperandSet::new(vec![
-                Word::from_u8(round as u8),
-                Word::from_u8((round * 3) as u8),
-                Word::from_u8((round * 7) as u8),
-            ]),
-        )?;
-        let raw_out = raw.wait()?;
+        let raw_set = OperandSet::new(vec![
+            Word::from_u8(round as u8),
+            Word::from_u8((round * 3) as u8),
+            Word::from_u8((round * 7) as u8),
+        ]);
+        let raw_out = scheduler.submit(maj3, raw_set.clone())?.wait()?;
 
         // Spot-check against the boolean reference.
         assert_eq!(sums, adder.add_many(&a, &b)?);
-        assert_eq!(diffs, alu.execute(AluOp::Sub, &a, &b)?);
         assert_eq!(par, parity.evaluate(&words)?);
-        evaluations += raw_out.word().width() as u64;
+        let reference = scheduler.gate(maj3).unwrap().evaluate(raw_set.words())?;
+        assert_eq!(raw_out.word(), reference.word());
     }
     let elapsed = start.elapsed();
     let circuit_stats = scheduler.stats();
     println!(
         "circuit phase: served {} requests in {elapsed:?} ({:.0} req/s; ripple-carry \
-         dependencies keep these drains small)",
+         dependencies keep these drains small), peak in flight adder {} / parity {}",
         circuit_stats.completed,
         circuit_stats.completed as f64 / elapsed.as_secs_f64(),
+        adder_exec.peak_in_flight(),
+        parity_exec.peak_in_flight(),
     );
-    let _ = evaluations;
 
     // Batchable load: a burst of independent requests across all four
-    // gates — both gates of each waveguide, both waveguides (= both
-    // shards) — submitted up front. This is where coalescing pays.
+    // raw-traffic gates — both gates of each plan's first slot, on two
+    // waveguides — submitted up front. This is where coalescing pays.
     let burst: Vec<_> = (0..512u64)
         .map(|i| {
             if i % 2 == 0 {

@@ -112,13 +112,14 @@
 //! channels and coalesce under a batch-size/linger policy (within a
 //! gate *and* across gates sharing a [`core::gate::WaveguideId`], whose
 //! frequency lanes stack into one FDM pass); cached truth-table LUTs
-//! persist across restarts. See `examples/serve_pipeline.rs`.
+//! persist across restarts.
 //!
-//! Whole netlists compile to scheduler-ready plans with
-//! [`compiler::compile`]: ASAP wavefronts, spectrum-aware FDM
-//! placement onto `(waveguide, lane)` slots, and pipelined execution
-//! through [`serve::CircuitExecutor`] with dependency-aware
-//! submission. See `examples/serve_compiled.rs`.
+//! Whole circuits are served one way: compile the netlist to a
+//! scheduler-ready plan with [`compiler::compile`] (ASAP wavefronts,
+//! spectrum-aware FDM placement onto `(waveguide, lane)` slots) and
+//! run it through [`serve::CircuitExecutor`] with dependency-aware
+//! pipelined submission. See `examples/serve_compiled.rs` and
+//! `examples/serve_pipeline.rs`.
 
 pub use magnon_circuits as circuits;
 pub use magnon_compiler as compiler;

@@ -10,7 +10,9 @@ use spinwave_parallel::core::lut_store::{load_lut, LutSnapshot};
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::core::truth::LogicFunction;
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{ScheduledBank, SchedulerBuilder, ServeConfig, ServeError, Ticket};
+use spinwave_parallel::serve::{
+    register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig, ServeError, Ticket,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -381,27 +383,37 @@ proptest! {
         scheduler.shutdown().unwrap();
     }
 
-    /// Circuits routed through the scheduler agree with their boolean
-    /// reference, whatever the operands.
+    /// A compiled adder served through the scheduler agrees with its
+    /// boolean reference, whatever the operands.
     #[test]
     fn scheduled_adder_matches_reference(
         a in proptest::collection::vec(0u64..256, 8),
         b in proptest::collection::vec(0u64..256, 8),
     ) {
-        use spinwave_parallel::circuits::adder::RippleCarryAdder;
-        let mut builder = SchedulerBuilder::new(quick_config(2));
-        let (maj3, xor2) = builder
-            .register_circuit_gates(
-                Waveguide::paper_default().unwrap(),
-                WaveguideId(0),
-                8,
-                BackendChoice::Cached,
-            )
-            .unwrap();
-        let scheduler = builder.build().unwrap();
+        use spinwave_parallel::circuits::adder::{
+            transpose_from_words, transpose_to_words, RippleCarryAdder,
+        };
+        use spinwave_parallel::compiler::{compile, CompilerConfig};
+        let guide = Waveguide::paper_default().unwrap();
         let adder = RippleCarryAdder::new(8, 8).unwrap();
-        let mut bank = ScheduledBank::new(&scheduler, maj3, xor2).unwrap();
-        let served = adder.add_many_on(&mut bank, &a, &b).unwrap();
+        let plan = compile(adder.circuit(), &guide, &CompilerConfig::default()).unwrap();
+        let mut builder = SchedulerBuilder::new(quick_config(2));
+        let gates = register_compiled(
+            &mut builder,
+            &plan,
+            guide,
+            WaveguideId(0),
+            BackendChoice::Cached,
+        )
+        .unwrap();
+        let scheduler = builder.build().unwrap();
+        let inputs: Vec<Word> = transpose_to_words(&a, 8, 8)
+            .unwrap()
+            .into_iter()
+            .chain(transpose_to_words(&b, 8, 8).unwrap())
+            .collect();
+        let mut executor = CircuitExecutor::new(&scheduler, &plan, &gates).unwrap();
+        let served = transpose_from_words(&executor.run_batch(&[inputs]).unwrap()[0], 8);
         prop_assert_eq!(served, adder.add_many(&a, &b).unwrap());
         scheduler.shutdown().unwrap();
     }

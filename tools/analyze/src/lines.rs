@@ -15,8 +15,7 @@
 //! panic check is file-wide: it covers functions no root reaches and
 //! functions whose root proof fails through ambiguous-method fan-out.
 //! The hot-path sleep ban cannot be a `can-block` root, because the
-//! pipeline, dispatch and client files block on tickets and sockets by
-//! design. The drain-file check reports under the `can-panic` id, so one
+//! pipeline and client files block on tickets and sockets by design. The drain-file check reports under the `can-panic` id, so one
 //! `// analyze: allow(can-panic) — reason` waiver silences both it and
 //! the intrinsic fact on that site.
 //!
@@ -40,7 +39,6 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/request.rs",
     "crates/serve/src/telemetry.rs",
     "crates/serve/src/pipeline.rs",
-    "crates/serve/src/dispatch.rs",
     "crates/net/src/client.rs",
 ];
 

@@ -759,6 +759,20 @@ fn ignored_files_are_still_line_checked() {
     assert_eq!(rules, vec![lines::Rule::OrderingRationale]);
 }
 
+/// Every file and directory a line rule is scoped to exists: a deleted
+/// or renamed path would otherwise leave its rule checking nothing.
+#[test]
+fn line_rule_scopes_name_existing_paths() {
+    let root = workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("the analyzer lives inside the workspace");
+    for file in lines::HOT_PATH_FILES.iter().chain(lines::DRAIN_PATH_FILES) {
+        assert!(root.join(file).is_file(), "scoped file {file} is missing");
+    }
+    for dir in lines::FACADE_DIRS {
+        assert!(root.join(dir).is_dir(), "scoped directory {dir} is missing");
+    }
+}
+
 /// The whole point: the real workspace, under the real policy, is
 /// clean — zero line findings and every proof holding. This makes
 /// `cargo test` itself the gate: a new violation of any line rule, or a
