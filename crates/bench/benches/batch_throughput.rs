@@ -48,18 +48,17 @@ fn bench_batch(c: &mut Criterion) {
             b.iter(|| black_box(analytic.evaluate_batch(black_box(&sets)).expect("batch")))
         });
 
-        // One batched call through a precompiled-LUT session.
+        // One batched call through a truth-table session: readouts
+        // gathered from the gate's table.
         let mut cached = gate.session(BackendChoice::Cached).expect("session");
-        cached.evaluate_batch(&sets).expect("warm the LUT");
         group.bench_function("cached_batch_256", |b| {
             b.iter(|| black_box(cached.evaluate_batch(black_box(&sets)).expect("batch")))
         });
 
-        // Logic-only bit-sliced kernel on an eagerly densified LUT:
-        // 64 operand sets advance per boolean word-op, and no
-        // per-channel analog readouts are materialized.
+        // Logic-only bit-sliced kernel on the same table: 64 operand
+        // sets advance per boolean word-op, and no per-channel analog
+        // readouts are materialized.
         let mut sliced = gate.session(BackendChoice::Cached).expect("session");
-        sliced.warm_all();
         group.bench_function("sliced_batch_256", |b| {
             b.iter(|| {
                 black_box(

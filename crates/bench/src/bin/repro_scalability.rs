@@ -44,7 +44,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         let report = gate.verify_truth_table()?;
         all_pass &= report.all_passed();
         // Every gate in the sweep must also decode identically through
-        // the cached (LUT) backend — one batch covers all combinations.
+        // the cached (truth-table) backend — one batch covers all
+        // combinations.
         let sets = combo_operand_sets(3, p.channels)?;
         let mut cached = gate.session(BackendChoice::Cached)?;
         let batch = cached.evaluate_batch(&sets)?;

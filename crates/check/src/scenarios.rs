@@ -89,7 +89,6 @@ fn small_config(workers: usize) -> ServeConfig {
         max_batch: 4,
         linger: Duration::from_micros(50),
         queue_depth: 4,
-        lut_dir: None,
     }
 }
 

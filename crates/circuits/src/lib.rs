@@ -11,7 +11,7 @@
 //! * [`netlist`] — a small word-level netlist with topological
 //!   evaluation; its [`netlist::GateBank`] routes every MAJ/XOR node
 //!   through a physical spin-wave gate on any
-//!   [`magnon_core::backend::SpinWaveBackend`] (analytic, cached LUT,
+//!   [`magnon_core::backend::SpinWaveBackend`] (analytic, truth table,
 //!   or full LLG), switchable with one
 //!   [`magnon_core::backend::BackendChoice`] argument,
 //! * [`adder`] — full adders and ripple-carry adders (MAJ for carry,

@@ -10,9 +10,10 @@
 //! * [`AnalyticBackend`] — the wave-superposition engine
 //!   ([`crate::engine`]), with rayon data-parallelism across the sets
 //!   of a batch.
-//! * [`CachedBackend`] — a precompiled truth-table backend: per-channel
-//!   decode results are memoized keyed on the channel's input bits, so
-//!   hot-path serving of repeated combinations is a table lookup.
+//! * [`CachedBackend`] — a truth-table backend: every evaluation is a
+//!   lookup in the gate's [`GateTable`], the `n · 2^m` per-channel
+//!   readouts built once from the analytic engine. Serving runtimes
+//!   share one table per gate across their worker threads.
 //! * [`MicromagBackend`] — adapts
 //!   [`crate::micromag_bridge::MicromagValidator`] so full LLG
 //!   validation runs through the *same* interface (the calibration run
@@ -29,7 +30,6 @@ use crate::bitslice::{lane_mask, transpose64};
 use crate::engine::ChannelReadout;
 use crate::error::GateError;
 use crate::gate::{GateOutput, ParallelGate};
-use crate::lut_store::LutSnapshot;
 use crate::micromag_bridge::{MicromagValidator, ValidationSettings};
 use crate::word::Word;
 use rayon::prelude::*;
@@ -74,23 +74,14 @@ impl From<&[Word]> for OperandSet {
     }
 }
 
-/// Cache-effectiveness counters of a LUT-keeping backend (see
-/// [`SpinWaveBackend::lut_stats`]).
-///
-/// Counters are per backend instance: [`SpinWaveBackend::split`] hands
-/// the shard a warm LUT (including its dense rows) but zeroed
-/// `hits`/`misses`, so a sum over live shard sessions never
-/// double-counts warm-up work already reported by the template.
+/// LUT-effectiveness counters, kept only because the `perfbench`
+/// benchmark still reads them (see [`GateSession::lut_stats`]); they go
+/// when that read does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LutStats {
-    /// Lookups answered from memory.
-    pub hits: u64,
-    /// Entries computed (and memoized) on demand.
+    /// Entries computed on demand. Always 0: a [`GateTable`] is built
+    /// whole before its first lookup.
     pub misses: u64,
-    /// Channel rows flattened to the dense bit-sliced form.
-    pub dense_rows: usize,
-    /// Total channel rows (the gate's word width).
-    pub total_rows: usize,
 }
 
 /// The evaluation contract every engine implements.
@@ -99,46 +90,15 @@ pub struct LutStats {
 /// single operand set, `evaluate_batch` any number of them. The default
 /// batch implementation maps `evaluate` — backends override it when
 /// they can do better (the analytic backend parallelises across sets,
-/// the cached backend serves from its LUT).
+/// the cached backend serves from its [`GateTable`]).
 ///
-/// Backends are `Send + Sync` so serving runtimes can move them onto
-/// worker shards; [`SpinWaveBackend::split`] mints the per-shard
-/// instances (see `magnon-serve`).
+/// Backends are `Send + Sync` so sessions can move between threads.
 pub trait SpinWaveBackend: Send + Sync {
     /// Stable identifier for reports and logs.
     fn name(&self) -> &'static str;
 
     /// The gate this backend evaluates.
     fn gate(&self) -> &ParallelGate;
-
-    /// Creates an independent instance of this backend for another
-    /// worker shard. State worth carrying over travels with the split —
-    /// a cached backend hands each shard a copy of its warm LUT, the
-    /// micromagnetic backend its calibration run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend construction failures.
-    fn split(&self) -> Result<Box<dyn SpinWaveBackend>, GateError>;
-
-    /// The backend's current truth-table LUT, when it maintains one
-    /// (`None` for engines that compute every request).
-    fn lut_snapshot(&self) -> Option<LutSnapshot> {
-        None
-    }
-
-    /// Adopts previously exported LUT entries, returning how many were
-    /// imported. Backends without a LUT accept and ignore the snapshot
-    /// (returning `0`), so persistence wiring stays backend-agnostic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateError::Persistence`] when the snapshot was
-    /// computed for a different gate.
-    fn import_lut(&mut self, snapshot: &LutSnapshot) -> Result<usize, GateError> {
-        let _ = snapshot;
-        Ok(0)
-    }
 
     /// Evaluates one operand set.
     ///
@@ -160,9 +120,7 @@ pub trait SpinWaveBackend: Send + Sync {
     }
 
     /// Evaluates many operand sets, returning only the decoded logic
-    /// words — no per-channel readout diagnostics. Responses on the
-    /// wire carry only logic words, so serving drains use this path to
-    /// skip the dominant per-request allocation. The default maps
+    /// words — no per-channel readout diagnostics. The default maps
     /// [`SpinWaveBackend::evaluate_batch`] and discards the readouts;
     /// backends with a faster logic-only path override it (the cached
     /// backend answers straight from its bit-sliced kernel).
@@ -177,18 +135,6 @@ pub trait SpinWaveBackend: Send + Sync {
             .map(|output| output.word())
             .collect())
     }
-
-    /// Eagerly resolves everything this backend can precompute, so
-    /// serving never computes on the hot path — the cached backend
-    /// fills its whole LUT and flattens every row to the dense
-    /// bit-sliced form. A no-op for backends with nothing to warm.
-    fn warm_all(&mut self) {}
-
-    /// Truth-table cache effectiveness counters, when the backend keeps
-    /// a LUT (`None` for engines that compute every request).
-    fn lut_stats(&self) -> Option<LutStats> {
-        None
-    }
 }
 
 /// Selects and constructs a backend; [`Default`] is the analytic
@@ -198,7 +144,7 @@ pub enum BackendChoice {
     /// Complex wave superposition (exact analytic model).
     #[default]
     Analytic,
-    /// Precompiled/memoized truth-table lookups on top of the analytic
+    /// Lookups in the gate's [`GateTable`], built once from the analytic
     /// engine.
     Cached,
     /// Full LLG micromagnetic simulation with the given settings.
@@ -211,7 +157,7 @@ impl BackendChoice {
     /// # Errors
     ///
     /// Propagates backend construction failures
-    /// ([`CachedBackend::new`]'s input-count cap).
+    /// ([`CachedBackend::new`]'s table-size cap).
     pub fn instantiate(self, gate: ParallelGate) -> Result<Box<dyn SpinWaveBackend>, GateError> {
         Ok(match self {
             BackendChoice::Analytic => Box::new(AnalyticBackend::new(gate)),
@@ -247,10 +193,6 @@ impl SpinWaveBackend for AnalyticBackend {
 
     fn gate(&self) -> &ParallelGate {
         &self.gate
-    }
-
-    fn split(&self) -> Result<Box<dyn SpinWaveBackend>, GateError> {
-        Ok(Box::new(self.clone()))
     }
 
     fn evaluate(&mut self, inputs: &[Word]) -> Result<GateOutput, GateError> {
@@ -303,9 +245,11 @@ impl SpinWaveBackend for AnalyticBackend {
     }
 }
 
-/// Upper bound on the operand count a LUT backend will precompile
-/// (`2^m` entries per channel).
-const MAX_LUT_INPUTS: usize = 16;
+/// Largest [`GateTable`], in channel readouts (`n · 2^m`), that
+/// [`GateTable::new`] builds: at ~0.12 µs per readout a table this size
+/// takes ~0.1 s, and the 16-input × 64-channel extreme (2^22 readouts)
+/// would stall its builder for ~0.5 s.
+pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 
 /// Operand-count cutoff for the sum-of-products strategy in the sliced
 /// kernel: up to `2^m` minterm word-ops per channel beat 64 per-lane
@@ -313,10 +257,10 @@ const MAX_LUT_INPUTS: usize = 16;
 /// (which the compiler can unroll and vectorize) wins.
 const SOP_MAX_INPUTS: usize = 6;
 
-/// A fully resolved channel row flattened for the bit-sliced hot path:
-/// no `Option` anywhere the kernel reads.
+/// One channel's row of a [`GateTable`], flattened for the bit-sliced
+/// hot path.
 #[derive(Debug, Clone)]
-struct DenseRow {
+struct TableRow {
     /// Packed decoded logic — bit `combo % 64` of word `combo / 64`.
     logic: Vec<u64>,
     /// Combos decoding to 1 (picks the sparser sum-of-products
@@ -338,19 +282,19 @@ fn combo_of(inputs: &[Word], channel: usize) -> usize {
     combo
 }
 
-/// All-lanes LUT lookup for one dense channel by sum-of-products: OR
-/// together, for every combo whose LUT bit is set, the AND across
-/// inputs of that combo's (possibly complemented) operand bit-plane —
-/// one boolean word-op chain answers all 64 lanes. The sparser polarity
-/// is iterated: when more than half the combos decode to 1, the zeros
-/// are summed and the result complemented.
-fn sop_lookup(dense: &DenseRow, planes: &[[u64; 64]], channel: usize, mask: u64) -> u64 {
-    let combos = dense.readouts.len();
-    let invert = 2 * dense.ones > combos;
+/// All-lanes lookup for one channel by sum-of-products: OR together,
+/// for every combo whose table bit is set, the AND across inputs of
+/// that combo's (possibly complemented) operand bit-plane — one boolean
+/// word-op chain answers all 64 lanes. The sparser polarity is
+/// iterated: when more than half the combos decode to 1, the zeros are
+/// summed and the result complemented.
+fn sop_lookup(row: &TableRow, planes: &[[u64; 64]], channel: usize, mask: u64) -> u64 {
+    let combos = row.readouts.len();
+    let invert = 2 * row.ones > combos;
     let mut acc = 0u64;
     for combo in 0..combos {
         // analyze: allow(can-panic) — in-bounds: logic packs one bit per combo
-        let lut_bit = (dense.logic[combo >> 6] >> (combo & 63)) & 1 == 1;
+        let lut_bit = (row.logic[combo >> 6] >> (combo & 63)) & 1 == 1;
         if lut_bit == invert {
             continue;
         }
@@ -372,9 +316,9 @@ fn sop_lookup(dense: &DenseRow, planes: &[[u64; 64]], channel: usize, mask: u64)
     }
 }
 
-/// All-lanes LUT lookup for one dense channel by per-lane gather —
-/// branch-free indexed reads of the packed bitset.
-fn gather_lookup(dense: &DenseRow, planes: &[[u64; 64]], channel: usize, lanes: usize) -> u64 {
+/// All-lanes lookup for one channel by per-lane gather — branch-free
+/// indexed reads of the packed bitset.
+fn gather_lookup(row: &TableRow, planes: &[[u64; 64]], channel: usize, lanes: usize) -> u64 {
     let mut out = 0u64;
     for s in 0..lanes {
         let mut combo = 0usize;
@@ -383,198 +327,126 @@ fn gather_lookup(dense: &DenseRow, planes: &[[u64; 64]], channel: usize, lanes: 
             combo |= (((plane[channel] >> s) & 1) as usize) << j;
         }
         // analyze: allow(can-panic) — in-bounds: logic packs one bit per combo
-        out |= ((dense.logic[combo >> 6] >> (combo & 63)) & 1) << s;
+        out |= ((row.logic[combo >> 6] >> (combo & 63)) & 1) << s;
     }
     out
 }
 
-/// A precompiled truth-table backend.
+/// A gate's complete per-channel truth table, built once and read-only
+/// after.
 ///
 /// Each channel's decode depends only on the `m` input bits it carries,
-/// so there are just `2^m` distinct readouts per channel. They are
-/// memoized on first use — or all at once via
-/// [`CachedBackend::precompile`] — after which evaluation is a pure
-/// table lookup per channel.
+/// so a gate is fully described by `n · 2^m` channel readouts from its
+/// analytic device model. The table holds them per channel as a packed
+/// logic bitset (what the bit-sliced kernel reads) plus the analog
+/// readouts (what full outputs gather). It is built from the gate's
+/// own frequency plan, so FDM lanes with different plans get different
+/// tables (arXiv:2008.12220).
 ///
-/// The moment a channel's row is fully resolved it is *densified*:
-/// flattened into a packed logic bitset plus a readout side table (see
-/// `DenseRow`), and batches to dense channels run the bit-sliced kernel
-/// — operand bits of up to 64 sets pack into `u64` lanes and every
-/// boolean op answers all lanes at once (see [`crate::bitslice`]).
+/// The kernel, [`GateTable::sliced_words`], reads through `&self`, so
+/// one table can be shared by any number of threads.
 #[derive(Debug, Clone)]
-pub struct CachedBackend {
-    gate: ParallelGate,
-    /// `lut[channel][combo]` — memoized readout for that input
-    /// combination.
-    lut: Vec<Vec<Option<ChannelReadout>>>,
-    /// Resolved-entry count per channel row (densify trigger).
-    filled: Vec<usize>,
-    /// Dense form per channel, present once the row is fully resolved.
-    dense: Vec<Option<DenseRow>>,
-    hits: u64,
-    misses: u64,
+pub struct GateTable {
+    inputs: usize,
+    /// An all-zeros word of the gate's width: the kernel's outputs are
+    /// built from it, so they need no fallible width check.
+    zero: Word,
+    /// `rows[channel]`.
+    rows: Vec<TableRow>,
 }
 
-impl CachedBackend {
-    /// Wraps `gate` in a LUT backend.
+impl GateTable {
+    /// The readout count (`n · 2^m`) a table for `gate` would hold,
+    /// saturating at `usize::MAX`.
+    pub fn entries_for(gate: &ParallelGate) -> usize {
+        u32::try_from(gate.input_count())
+            .ok()
+            .and_then(|m| 1usize.checked_shl(m))
+            .and_then(|combos| combos.checked_mul(gate.word_width()))
+            .unwrap_or(usize::MAX)
+    }
+
+    /// Builds `gate`'s table: `n · 2^m` channel readouts from the
+    /// analytic device model.
     ///
     /// # Errors
     ///
-    /// Returns [`GateError::UnsupportedFunction`] when the gate has more
-    /// than 16 inputs (the LUT would need `2^m` entries per channel).
-    pub fn new(gate: ParallelGate) -> Result<Self, GateError> {
-        if gate.input_count() > MAX_LUT_INPUTS {
+    /// * [`GateError::UnsupportedFunction`] when the table would hold
+    ///   more than [`MAX_TABLE_ENTRIES`] readouts.
+    /// * [`GateError::InvalidParameter`] for a gate whose word width is
+    ///   outside `1..=64`.
+    pub fn new(gate: &ParallelGate) -> Result<Self, GateError> {
+        if Self::entries_for(gate) > MAX_TABLE_ENTRIES {
             return Err(GateError::UnsupportedFunction {
-                reason: "cached backend supports at most 16 inputs (2^m LUT entries per channel)",
+                reason: "truth table exceeds 2^20 channel readouts (n · 2^m)",
             });
         }
-        // Rows are allocated lazily on first touch: construction stays
-        // O(n) even at the 2^16-combination cap.
-        let n = gate.word_width();
-        Ok(CachedBackend {
-            gate,
-            lut: vec![Vec::new(); n],
-            filled: vec![0; n],
-            dense: vec![None; n],
-            hits: 0,
-            misses: 0,
+        let combos = 1usize << gate.input_count();
+        let prep = gate.prep();
+        let rows = (0..gate.word_width())
+            .map(|channel| {
+                let mut logic = vec![0u64; combos.div_ceil(64)];
+                let mut ones = 0;
+                let readouts: Vec<ChannelReadout> = (0..combos)
+                    .map(|combo| prep.channel_readout(channel, combo))
+                    .collect();
+                for (combo, readout) in readouts.iter().enumerate() {
+                    if readout.logic {
+                        logic[combo >> 6] |= 1u64 << (combo & 63);
+                        ones += 1;
+                    }
+                }
+                TableRow {
+                    logic,
+                    ones,
+                    readouts,
+                }
+            })
+            .collect();
+        Ok(GateTable {
+            inputs: gate.input_count(),
+            zero: Word::zeros(gate.word_width())?,
+            rows,
         })
     }
 
-    /// Fills the whole LUT eagerly (`n · 2^m` channel evaluations) and
-    /// densifies every row, so serving never computes again and every
-    /// batch runs the bit-sliced kernel.
-    pub fn precompile(&mut self) {
-        let combos = 1usize << self.gate.input_count();
-        for c in 0..self.gate.word_width() {
-            if self.dense[c].is_some() {
-                continue;
-            }
-            let row = &mut self.lut[c];
-            if row.is_empty() {
-                row.resize(combos, None);
-            }
-            let mut filled = self.filled[c];
-            for (combo, entry) in row.iter_mut().enumerate() {
-                if entry.is_none() {
-                    *entry = Some(self.gate.prep().channel_readout(c, combo));
-                    self.misses += 1;
-                    filled += 1;
-                }
-            }
-            self.filled[c] = filled;
-            self.densify(c);
-        }
+    /// Channel readouts held (`n · 2^m`).
+    pub fn entries(&self) -> usize {
+        self.rows.len() << self.inputs
     }
 
-    /// LUT lookups answered from memory so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits
+    /// The full output for validated operands: each channel's readout
+    /// gathered from the table, and the word they decode to.
+    fn output(&self, inputs: &[Word]) -> GateOutput {
+        let readouts: Vec<ChannelReadout> = self
+            .rows
+            .iter()
+            .enumerate()
+            .filter_map(|(c, row)| row.readouts.get(combo_of(inputs, c)).copied())
+            .collect();
+        let bits = readouts
+            .iter()
+            .enumerate()
+            .fold(0u64, |bits, (c, r)| bits | (u64::from(r.logic) << c));
+        GateOutput::new(self.zero.with_bits(bits), readouts)
     }
 
-    /// LUT entries computed so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Channel rows currently in the dense bit-sliced form.
-    pub fn dense_rows(&self) -> usize {
-        self.dense.iter().filter(|d| d.is_some()).count()
-    }
-
-    /// Flattens a fully resolved row into its dense form: the packed
-    /// logic bitset the sliced kernel reads, the analog side table full
-    /// outputs gather from, and the one-bit population count that picks
-    /// the sum-of-products polarity.
-    fn densify(&mut self, channel: usize) {
-        debug_assert!(self.dense[channel].is_none());
-        let row = &self.lut[channel];
-        let combos = row.len();
-        let mut logic = vec![0u64; combos.div_ceil(64)];
-        let mut readouts = Vec::with_capacity(combos);
-        let mut ones = 0usize;
-        for (combo, entry) in row.iter().enumerate() {
-            let readout = entry.expect("densify requires a fully resolved row");
-            if readout.logic {
-                logic[combo >> 6] |= 1u64 << (combo & 63);
-                ones += 1;
-            }
-            readouts.push(readout);
-        }
-        self.dense[channel] = Some(DenseRow {
-            logic,
-            ones,
-            readouts,
-        });
-    }
-
-    fn channel_readout(&mut self, channel: usize, combo: usize) -> ChannelReadout {
-        if let Some(dense) = &self.dense[channel] {
-            let readout = dense.readouts[combo];
-            self.hits += 1;
-            return readout;
-        }
-        let combos = 1usize << self.gate.prep().input_count();
-        if self.lut[channel].is_empty() {
-            self.lut[channel].resize(combos, None);
-        }
-        if let Some(readout) = self.lut[channel][combo] {
-            self.hits += 1;
-            return readout;
-        }
-        let readout = self.gate.prep().channel_readout(channel, combo);
-        self.lut[channel][combo] = Some(readout);
-        self.misses += 1;
-        self.filled[channel] += 1;
-        if self.filled[channel] == combos {
-            self.densify(channel);
-        }
-        readout
-    }
-
-    fn evaluate_prepared(&mut self, inputs: &[Word]) -> Result<GateOutput, GateError> {
-        let n = self.gate.word_width();
-        let mut bits = 0u64;
-        let mut readouts = Vec::with_capacity(n);
-        for c in 0..n {
-            let readout = self.channel_readout(c, combo_of(inputs, c));
-            bits |= (readout.logic as u64) << c;
-            readouts.push(readout);
-        }
-        Ok(GateOutput::new(Word::from_bits(bits, n)?, readouts))
-    }
-
-    /// Scalar fallback for a channel without a dense row yet: each
-    /// lane's combo resolves through the memoizing analytic path,
-    /// filling the LUT — and densifying the row the moment its last
-    /// combo lands, so later blocks of the same batch re-enter the
-    /// sliced loop.
-    fn resolve_cold_channel(&mut self, channel: usize, planes: &[[u64; 64]], lanes: usize) -> u64 {
-        let mut out = 0u64;
-        for s in 0..lanes {
-            let mut combo = 0usize;
-            for (j, plane) in planes.iter().enumerate() {
-                combo |= (((plane[channel] >> s) & 1) as usize) << j;
-            }
-            out |= (self.channel_readout(channel, combo).logic as u64) << s;
-        }
-        out
-    }
-
-    /// The bit-sliced kernel: evaluates validated operand sets in
-    /// blocks of up to 64 lanes and returns each set's output bit
-    /// pattern.
+    /// The bit-sliced kernel: answers operand sets in blocks of up to
+    /// 64 lanes.
     ///
     /// Per block: pack each operand's words set-major, transpose to
     /// lane-major bit-planes (`planes[j][c]` bit `s` = set `s`, input
-    /// `j`, channel `c`), answer every dense channel with one
-    /// word-parallel LUT lookup across all lanes, scalar-resolve cold
-    /// channels (memoizing as it goes), then transpose the output
-    /// planes back into per-set words. A ragged tail is just a block
-    /// with fewer lanes — unused lanes are zeroed and masked out.
-    fn sliced_words(&mut self, sets: &[OperandSet]) -> Vec<u64> {
-        let n = self.gate.word_width();
-        let m = self.gate.input_count();
+    /// `j`, channel `c`), answer every channel with one word-parallel
+    /// table lookup across all lanes, then transpose the output planes
+    /// back into per-set words. A ragged tail is just a block with
+    /// fewer lanes — unused lanes are zeroed and masked out.
+    ///
+    /// Callers validate operand shapes first
+    /// ([`ParallelGate::check_inputs`]). A malformed set is answered
+    /// rather than rejected: a missing operand reads as zeros, and bits
+    /// past the word width are ignored.
+    pub fn sliced_words(&self, sets: &[OperandSet]) -> Vec<Word> {
+        let m = self.inputs;
         // analyze: allow(can-alloc) — per-batch output arena, sized
         // once to the request count; the hot loop below only fills it.
         let mut out = Vec::with_capacity(sets.len());
@@ -586,9 +458,6 @@ impl CachedBackend {
             let mask = lane_mask(lanes);
             for (j, plane) in planes.iter_mut().enumerate() {
                 for (slot, set) in plane.iter_mut().zip(block) {
-                    // Operand sets are validated to input_count words
-                    // before the kernel is entered; a short set reads
-                    // as zeros rather than panicking the batch.
                     *slot = set.words().get(j).map_or(0, |word| word.bits());
                 }
                 if let Some(tail) = plane.get_mut(lanes..) {
@@ -597,41 +466,42 @@ impl CachedBackend {
                 transpose64(plane);
             }
             let mut out_planes = [0u64; 64];
-            let mut dense_lookups = 0u64;
-            // Channels without a dense row are deferred to a second
-            // pass: the memoizing cold resolver needs `&mut self`,
-            // which the dense-row borrow here precludes. Channel count
-            // is the word width, so a u64 bitmask covers them all.
-            let mut cold_channels = 0u64;
-            for (c, out_plane) in out_planes.iter_mut().take(n).enumerate() {
-                if let Some(Some(dense)) = self.dense.get(c) {
-                    dense_lookups += lanes as u64;
-                    *out_plane = if m <= SOP_MAX_INPUTS {
-                        sop_lookup(dense, &planes, c, mask)
-                    } else {
-                        gather_lookup(dense, &planes, c, lanes)
-                    };
+            for (c, (out_plane, row)) in out_planes.iter_mut().zip(&self.rows).enumerate() {
+                *out_plane = if m <= SOP_MAX_INPUTS {
+                    sop_lookup(row, &planes, c, mask)
                 } else {
-                    cold_channels |= 1 << c;
-                }
+                    gather_lookup(row, &planes, c, lanes)
+                };
             }
-            while cold_channels != 0 {
-                let c = cold_channels.trailing_zeros() as usize;
-                cold_channels &= cold_channels - 1;
-                let resolved = self.resolve_cold_channel(c, &planes, lanes);
-                if let Some(out_plane) = out_planes.get_mut(c) {
-                    *out_plane = resolved;
-                }
-            }
-            self.hits += dense_lookups;
             transpose64(&mut out_planes);
             if let Some(block_out) = out_planes.get(..lanes) {
                 // analyze: allow(can-alloc) — fills the arena
                 // preallocated above; a block never outgrows it.
-                out.extend_from_slice(block_out);
+                out.extend(block_out.iter().map(|&bits| self.zero.with_bits(bits)));
             }
         }
         out
+    }
+}
+
+/// The truth-table backend: every evaluation is a lookup in the gate's
+/// [`GateTable`], built whole at construction.
+#[derive(Debug, Clone)]
+pub struct CachedBackend {
+    gate: ParallelGate,
+    table: GateTable,
+}
+
+impl CachedBackend {
+    /// Wraps `gate` in a table backend, building its whole table.
+    ///
+    /// # Errors
+    ///
+    /// [`GateTable::new`]'s conditions (a table over
+    /// [`MAX_TABLE_ENTRIES`] readouts).
+    pub fn new(gate: ParallelGate) -> Result<Self, GateError> {
+        let table = GateTable::new(&gate)?;
+        Ok(CachedBackend { gate, table })
     }
 }
 
@@ -644,108 +514,26 @@ impl SpinWaveBackend for CachedBackend {
         &self.gate
     }
 
-    /// The split shard starts with a copy of the warm LUT — dense rows
-    /// included — and fresh hit/miss counters.
-    fn split(&self) -> Result<Box<dyn SpinWaveBackend>, GateError> {
-        Ok(Box::new(CachedBackend {
-            gate: self.gate.clone(),
-            lut: self.lut.clone(),
-            filled: self.filled.clone(),
-            dense: self.dense.clone(),
-            hits: 0,
-            misses: 0,
-        }))
-    }
-
-    fn lut_snapshot(&self) -> Option<LutSnapshot> {
-        Some(LutSnapshot::from_gate(&self.gate, self.lut.clone()))
-    }
-
-    fn import_lut(&mut self, snapshot: &LutSnapshot) -> Result<usize, GateError> {
-        snapshot.matches_gate(&self.gate)?;
-        let combos = 1usize << self.gate.input_count();
-        let mut imported = 0usize;
-        let channels = self.lut.len();
-        for (c, snap_row) in snapshot.rows().iter().enumerate().take(channels) {
-            if snap_row.is_empty() || self.dense[c].is_some() {
-                continue;
-            }
-            let row = &mut self.lut[c];
-            if row.is_empty() {
-                row.resize(combos, None);
-            }
-            let mut filled = self.filled[c];
-            for (entry, snap_entry) in row.iter_mut().zip(snap_row) {
-                if entry.is_none() && snap_entry.is_some() {
-                    *entry = *snap_entry;
-                    imported += 1;
-                    filled += 1;
-                }
-            }
-            self.filled[c] = filled;
-            // A snapshot of a fully warmed gate re-enters the dense
-            // form immediately: dense rows persist across restarts.
-            if filled == combos {
-                self.densify(c);
-            }
-        }
-        Ok(imported)
-    }
-
     fn evaluate(&mut self, inputs: &[Word]) -> Result<GateOutput, GateError> {
         self.gate.check_inputs(inputs)?;
-        self.evaluate_prepared(inputs)
+        Ok(self.table.output(inputs))
     }
 
     fn evaluate_batch(&mut self, sets: &[OperandSet]) -> Result<Vec<GateOutput>, GateError> {
-        // Validate once up front; everything after runs infallible
-        // prepared paths.
         for set in sets {
             self.gate.check_inputs(set.words())?;
         }
-        let n = self.gate.word_width();
-        let words = self.sliced_words(sets);
-        // The sliced pass resolved every combo it met, so gathering the
-        // readout side tables below is pure table reads (not counted
-        // again — the kernel already accounted each lookup once).
-        let mut outputs = Vec::with_capacity(sets.len());
-        for (set, bits) in sets.iter().zip(words) {
-            let mut readouts = Vec::with_capacity(n);
-            for c in 0..n {
-                let combo = combo_of(set.words(), c);
-                let readout = match &self.dense[c] {
-                    Some(dense) => dense.readouts[combo],
-                    None => self.lut[c][combo].expect("combo resolved by the sliced pass"),
-                };
-                readouts.push(readout);
-            }
-            outputs.push(GateOutput::new(Word::from_bits(bits, n)?, readouts));
-        }
-        Ok(outputs)
+        Ok(sets
+            .iter()
+            .map(|set| self.table.output(set.words()))
+            .collect())
     }
 
     fn evaluate_batch_logic(&mut self, sets: &[OperandSet]) -> Result<Vec<Word>, GateError> {
         for set in sets {
             self.gate.check_inputs(set.words())?;
         }
-        let n = self.gate.word_width();
-        self.sliced_words(sets)
-            .into_iter()
-            .map(|bits| Word::from_bits(bits, n))
-            .collect()
-    }
-
-    fn warm_all(&mut self) {
-        self.precompile();
-    }
-
-    fn lut_stats(&self) -> Option<LutStats> {
-        Some(LutStats {
-            hits: self.hits,
-            misses: self.misses,
-            dense_rows: self.dense_rows(),
-            total_rows: self.gate.word_width(),
-        })
+        Ok(self.table.sliced_words(sets))
     }
 }
 
@@ -794,11 +582,6 @@ impl SpinWaveBackend for MicromagBackend {
 
     fn gate(&self) -> &ParallelGate {
         &self.gate
-    }
-
-    /// The split shard reuses the calibration run when one exists.
-    fn split(&self) -> Result<Box<dyn SpinWaveBackend>, GateError> {
-        Ok(Box::new(self.clone()))
     }
 
     fn evaluate(&mut self, inputs: &[Word]) -> Result<GateOutput, GateError> {
@@ -897,8 +680,7 @@ impl GateSession {
 
     /// Streams a batch through the backend's logic-only path: bare
     /// output words, no per-channel readout diagnostics (see
-    /// [`SpinWaveBackend::evaluate_batch_logic`]). This is the serving
-    /// drain's hot path — responses on the wire only carry logic words.
+    /// [`SpinWaveBackend::evaluate_batch_logic`]).
     ///
     /// # Errors
     ///
@@ -909,16 +691,16 @@ impl GateSession {
         Ok(words)
     }
 
-    /// Eagerly warms the backend — the cached backend fills and
-    /// densifies its whole LUT (see [`SpinWaveBackend::warm_all`]).
-    pub fn warm_all(&mut self) {
-        self.backend.warm_all();
-    }
+    /// A no-op: a cached session's table is built whole when the
+    /// session opens. Kept only because the `perfbench` benchmark still
+    /// calls it; it goes when that call does.
+    pub fn warm_all(&mut self) {}
 
-    /// The backend's LUT effectiveness counters, when it keeps one (see
-    /// [`SpinWaveBackend::lut_stats`]).
+    /// Always [`LutStats::default`] (zero misses). Kept only because the
+    /// `perfbench` benchmark still reads it; it goes when that read
+    /// does.
     pub fn lut_stats(&self) -> Option<LutStats> {
-        self.backend.lut_stats()
+        Some(LutStats::default())
     }
 
     /// Evaluates a batch of tagged requests, echoing each caller tag on
@@ -940,44 +722,6 @@ impl GateSession {
         let outputs = self.evaluate_batch(&sets)?;
         Ok(requests.iter().map(|(tag, _)| *tag).zip(outputs).collect())
     }
-
-    /// Opens an independent session over a split of this backend — the
-    /// per-shard constructor serving runtimes use. The split carries
-    /// warm state (LUT contents, micromagnetic calibration) but starts
-    /// its own counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend construction failures.
-    pub fn split_session(&self) -> Result<GateSession, GateError> {
-        Ok(GateSession {
-            backend: self.backend.split()?,
-            sets_evaluated: 0,
-        })
-    }
-
-    /// The backend's LUT contents, when it maintains one (see
-    /// [`SpinWaveBackend::lut_snapshot`]).
-    pub fn lut_snapshot(&self) -> Option<LutSnapshot> {
-        self.backend.lut_snapshot()
-    }
-
-    /// Adopts previously exported LUT entries (see
-    /// [`SpinWaveBackend::import_lut`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateError::Persistence`] for a snapshot of a different
-    /// gate.
-    pub fn import_lut(&mut self, snapshot: &LutSnapshot) -> Result<usize, GateError> {
-        self.backend.import_lut(snapshot)
-    }
-
-    /// Mutable access to the backend for implementation-specific calls
-    /// (e.g. warming a cache).
-    pub fn backend_mut(&mut self) -> &mut dyn SpinWaveBackend {
-        self.backend.as_mut()
-    }
 }
 
 impl std::fmt::Debug for GateSession {
@@ -987,58 +731,6 @@ impl std::fmt::Debug for GateSession {
             .field("sets_evaluated", &self.sets_evaluated)
             .finish()
     }
-}
-
-/// One frequency lane's slice of a multi-lane FDM batch: the lane's
-/// session (its gate defines the channel group) and the operand sets
-/// queued for it.
-pub struct LaneBatch<'a> {
-    /// The session serving this lane's gate.
-    pub session: &'a mut GateSession,
-    /// The lane's queued operand sets.
-    pub sets: &'a [OperandSet],
-}
-
-/// Evaluates several frequency lanes of one waveguide as a single
-/// multi-lane pass (frequency-division multiplexing, arXiv:2008.12220),
-/// answering bare output words (no readout diagnostics).
-///
-/// Physically all lanes ride one excitation of the shared medium —
-/// their frequency bands are disjoint, so each gate's detectors see
-/// only their own channels. Computationally the pass stacks the lanes'
-/// channel groups: every lane's shapes are validated up front so a
-/// malformed operand in *any* lane fails the whole batch before any
-/// lane evaluates, then each lane's channel group decodes through its
-/// own compiled prep via [`GateSession::evaluate_batch_logic`] (the
-/// bit-sliced kernel when the lane's backend is cached). Returns one
-/// output vector per lane, in lane order.
-///
-/// The all-or-nothing guarantee covers operand-*shape* errors only: a
-/// backend failure mid-pass (possible for engines that can fail at
-/// evaluation time, e.g. micromagnetics) aborts at the failing lane
-/// with earlier lanes already evaluated — callers that need exact
-/// once-only semantics must re-drive per request on error, which is
-/// what the serving runtime's fallback does. That runtime also never
-/// stacks micromagnetic lanes in the first place (their time-domain
-/// simulation is per-gate); this function leaves that exclusion to the
-/// caller.
-///
-/// # Errors
-///
-/// * [`GateError::InputCountMismatch`] / [`GateError::WordWidthMismatch`]
-///   when any lane's operands are malformed (no lane evaluates).
-/// * Backend failures from the first failing lane (earlier lanes have
-///   evaluated).
-pub fn evaluate_fdm_batch_logic(lanes: &mut [LaneBatch<'_>]) -> Result<Vec<Vec<Word>>, GateError> {
-    for lane in lanes.iter() {
-        for set in lane.sets {
-            lane.session.gate().check_inputs(set.words())?;
-        }
-    }
-    lanes
-        .iter_mut()
-        .map(|lane| lane.session.evaluate_batch_logic(lane.sets))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1084,48 +776,45 @@ mod tests {
     }
 
     #[test]
-    fn cached_agrees_with_analytic_and_counts_hits() {
+    fn cached_agrees_with_analytic() {
         let gate = byte_majority();
         let mut cached = CachedBackend::new(gate.clone()).unwrap();
         let sets = sample_sets(8);
-        let first = cached.evaluate_batch(&sets).unwrap();
-        assert!(cached.cache_misses() > 0);
-        let miss_count = cached.cache_misses();
-        // Second pass over the same sets: pure hits.
-        let second = cached.evaluate_batch(&sets).unwrap();
-        assert_eq!(cached.cache_misses(), miss_count);
-        assert!(cached.cache_hits() >= 64);
-        for ((a, b), set) in first.iter().zip(&second).zip(&sets) {
-            assert_eq!(a.word(), b.word());
-            assert_eq!(a.word(), gate.evaluate(set.words()).unwrap().word());
+        let full = cached.evaluate_batch(&sets).unwrap();
+        let logic = cached.evaluate_batch_logic(&sets).unwrap();
+        for ((out, word), set) in full.iter().zip(&logic).zip(&sets) {
+            let reference = gate.evaluate(set.words()).unwrap();
+            assert_eq!(out.word(), reference.word());
+            assert_eq!(*word, reference.word());
+            assert_eq!(out.readouts(), reference.readouts());
         }
     }
 
     #[test]
-    fn precompile_fills_the_whole_lut() {
+    fn the_table_holds_every_combination_of_every_channel() {
         let gate = byte_majority();
-        let mut cached = CachedBackend::new(gate).unwrap();
-        cached.precompile();
-        assert_eq!(cached.cache_misses(), 8 * 8); // n channels x 2^3 combos
-        let sets = sample_sets(4);
-        cached.evaluate_batch(&sets).unwrap();
-        assert_eq!(cached.cache_misses(), 8 * 8, "serving must not recompute");
+        let table = GateTable::new(&gate).unwrap();
+        assert_eq!(table.entries(), 8 * 8); // n channels x 2^3 combos
+        assert_eq!(GateTable::entries_for(&gate), 8 * 8);
     }
 
     #[test]
     fn cached_rejects_oversized_luts() {
+        // 16 channels x 2^17 combos = 2^21 readouts, twice the cap.
         let gate = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
-            .channels(2)
+            .channels(16)
             .inputs(17)
-            .build();
-        // 17-input majority may not even build a layout; if it does, the
-        // cached backend must refuse it.
-        if let Ok(gate) = gate {
-            assert!(matches!(
-                CachedBackend::new(gate),
-                Err(GateError::UnsupportedFunction { .. })
-            ));
-        }
+            .build()
+            .unwrap();
+        assert_eq!(GateTable::entries_for(&gate), 1 << 21);
+        assert!(matches!(
+            GateTable::new(&gate),
+            Err(GateError::UnsupportedFunction { .. })
+        ));
+        assert!(matches!(
+            CachedBackend::new(gate),
+            Err(GateError::UnsupportedFunction { .. })
+        ));
     }
 
     #[test]
@@ -1138,33 +827,6 @@ mod tests {
         session.evaluate_batch(&sets).unwrap();
         session.evaluate(sets[0].words()).unwrap();
         assert_eq!(session.sets_evaluated(), 6);
-    }
-
-    #[test]
-    fn split_sessions_are_independent_but_warm() {
-        let gate = byte_majority();
-        let mut session = gate.session(BackendChoice::Cached).unwrap();
-        let sets = sample_sets(8);
-        session.evaluate_batch(&sets).unwrap();
-        let warm_entries = session.lut_snapshot().unwrap().entry_count();
-        assert!(warm_entries > 0);
-
-        let mut shard = session.split_session().unwrap();
-        assert_eq!(shard.backend_name(), "cached");
-        assert_eq!(shard.sets_evaluated(), 0, "split starts fresh counters");
-        // The shard inherited the warm LUT: replaying the same sets
-        // computes nothing new.
-        let replay = shard.evaluate_batch(&sets).unwrap();
-        assert_eq!(
-            shard.lut_snapshot().unwrap().entry_count(),
-            warm_entries,
-            "no new entries on a warm shard"
-        );
-        for (a, b) in session.evaluate_batch(&sets).unwrap().iter().zip(&replay) {
-            assert_eq!(a.word(), b.word());
-        }
-        // Work on the shard does not leak back into the parent.
-        assert_eq!(session.sets_evaluated(), 16);
     }
 
     #[test]
@@ -1186,98 +848,27 @@ mod tests {
     }
 
     #[test]
-    fn lut_import_skips_recomputation() {
-        let gate = byte_majority();
-        let mut warm = CachedBackend::new(gate.clone()).unwrap();
-        warm.precompile();
-        let snapshot = warm.lut_snapshot().unwrap();
-
-        let mut cold = CachedBackend::new(gate.clone()).unwrap();
-        let imported = cold.import_lut(&snapshot).unwrap();
-        assert_eq!(imported, 8 * 8);
-        cold.evaluate_batch(&sample_sets(8)).unwrap();
-        assert_eq!(cold.cache_misses(), 0, "imported LUT serves everything");
-
-        // Importing into a mismatched gate is rejected.
-        let other = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
-            .channels(4)
-            .inputs(3)
-            .build()
-            .unwrap();
-        let mut mismatched = CachedBackend::new(other).unwrap();
-        assert!(matches!(
-            mismatched.import_lut(&snapshot),
-            Err(GateError::Persistence { .. })
-        ));
-
-        // Non-LUT backends ignore imports and report none.
-        let mut analytic = AnalyticBackend::new(gate);
-        assert!(analytic.lut_snapshot().is_none());
-        assert_eq!(analytic.import_lut(&snapshot).unwrap(), 0);
-    }
-
-    #[test]
-    fn fdm_batch_matches_per_lane_evaluation_and_fails_whole() {
+    fn each_fdm_lane_serves_from_its_own_table() {
         use crate::gate::LaneId;
-        // Two distinct designs on disjoint bands: the paper-default
-        // 10–80 GHz majority and a 100 GHz-based XOR lane.
-        let maj = byte_majority();
-        let xor = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
+        // The same majority design on two disjoint bands of one
+        // waveguide: each lane's frequency plan gets its own table, and
+        // both answer as the analytic engine does.
+        let low = byte_majority();
+        let high = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
             .channels(8)
-            .inputs(2)
-            .function(LogicFunction::Xor)
+            .inputs(3)
             .base_frequency(100e9)
             .on_lane(LaneId(1))
             .build()
             .unwrap();
-        assert!(!maj.frequency_lane().overlaps(xor.frequency_lane()));
-        let mut maj_session = maj.session(BackendChoice::Cached).unwrap();
-        let mut xor_session = xor.session(BackendChoice::Analytic).unwrap();
-        let maj_sets = sample_sets(5);
-        let xor_sets: Vec<OperandSet> = sample_sets(3)
-            .into_iter()
-            .map(|s| OperandSet::new(s.words()[..2].to_vec()))
-            .collect();
-        let outputs = evaluate_fdm_batch_logic(&mut [
-            LaneBatch {
-                session: &mut maj_session,
-                sets: &maj_sets,
-            },
-            LaneBatch {
-                session: &mut xor_session,
-                sets: &xor_sets,
-            },
-        ])
-        .unwrap();
-        assert_eq!(outputs.len(), 2);
-        for (out, set) in outputs[0].iter().zip(&maj_sets) {
-            assert_eq!(*out, maj.evaluate(set.words()).unwrap().word());
+        assert!(!low.frequency_lane().overlaps(high.frequency_lane()));
+        let sets = sample_sets(70);
+        for gate in [low, high] {
+            let table = GateTable::new(&gate).unwrap();
+            for (word, set) in table.sliced_words(&sets).iter().zip(&sets) {
+                assert_eq!(*word, gate.evaluate(set.words()).unwrap().word());
+            }
         }
-        for (out, set) in outputs[1].iter().zip(&xor_sets) {
-            assert_eq!(*out, xor.evaluate(set.words()).unwrap().word());
-        }
-        assert_eq!(maj_session.sets_evaluated(), 5);
-        assert_eq!(xor_session.sets_evaluated(), 3);
-
-        // A malformed operand in the SECOND lane fails the whole pass
-        // before the first lane evaluates anything.
-        let bad = vec![OperandSet::new(vec![Word::from_u8(1)])];
-        let err = evaluate_fdm_batch_logic(&mut [
-            LaneBatch {
-                session: &mut maj_session,
-                sets: &maj_sets,
-            },
-            LaneBatch {
-                session: &mut xor_session,
-                sets: &bad,
-            },
-        ]);
-        assert!(matches!(err, Err(GateError::InputCountMismatch { .. })));
-        assert_eq!(
-            maj_session.sets_evaluated(),
-            5,
-            "the all-or-nothing pass must not half-evaluate"
-        );
     }
 
     #[test]

@@ -66,12 +66,6 @@ pub enum GateError {
         /// Word width.
         width: usize,
     },
-    /// Persisted state (e.g. an on-disk LUT file) could not be read,
-    /// written, or did not match what the loader expected.
-    Persistence {
-        /// What went wrong.
-        reason: String,
-    },
     /// A serving-runtime failure outside the gate model itself (e.g. a
     /// scheduler worker that went away mid-request).
     Runtime {
@@ -118,9 +112,6 @@ impl fmt::Display for GateError {
             }
             GateError::BitIndexOutOfRange { index, width } => {
                 write!(f, "bit index {index} out of range for a {width}-bit word")
-            }
-            GateError::Persistence { reason } => {
-                write!(f, "persistence error: {reason}")
             }
             GateError::Runtime { reason } => {
                 write!(f, "runtime error: {reason}")
@@ -180,10 +171,6 @@ mod tests {
         };
         assert!(e.to_string().contains("channel 3"));
         assert!(e.to_string().contains("missing detector"));
-        let e = GateError::Persistence {
-            reason: "bad magic".into(),
-        };
-        assert!(e.to_string().contains("bad magic"));
         let e = GateError::Runtime {
             reason: "worker gone".into(),
         };

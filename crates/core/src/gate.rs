@@ -332,8 +332,8 @@ impl ParallelGateBuilder {
 ///   the compiled prep),
 /// * in batches through a [`GateSession`] obtained from
 ///   [`ParallelGate::session`], which streams many operand sets through
-///   any [`crate::backend::SpinWaveBackend`] — analytic, precompiled
-///   LUT, or the full LLG simulator.
+///   any [`crate::backend::SpinWaveBackend`] — analytic, truth table,
+///   or the full LLG simulator.
 #[derive(Debug, Clone)]
 pub struct ParallelGate {
     waveguide: Waveguide,
@@ -417,7 +417,7 @@ impl ParallelGate {
     ///
     /// * [`GateError::InputCountMismatch`] /
     ///   [`GateError::WordWidthMismatch`] for malformed operands.
-    pub(crate) fn check_inputs(&self, inputs: &[Word]) -> Result<(), GateError> {
+    pub fn check_inputs(&self, inputs: &[Word]) -> Result<(), GateError> {
         if inputs.len() != self.input_count() {
             return Err(GateError::InputCountMismatch {
                 expected: self.input_count(),
@@ -474,8 +474,9 @@ impl ParallelGate {
     ///
     /// # Errors
     ///
-    /// Propagates backend construction errors (e.g. a LUT over too many
-    /// inputs for [`BackendChoice::Cached`]).
+    /// Propagates backend construction errors (e.g. a truth table over
+    /// [`crate::backend::MAX_TABLE_ENTRIES`] readouts for
+    /// [`BackendChoice::Cached`]).
     ///
     /// # Examples
     ///

@@ -16,7 +16,7 @@
 //!    *simultaneously*,
 //! 4. [`backend`] evaluates gates through pluggable
 //!    [`backend::SpinWaveBackend`]s — the analytic superposition
-//!    [`engine`], a precompiled truth-table cache, or
+//!    [`engine`], a per-gate truth table ([`backend::GateTable`]), or
 //! 5. [`micromag_bridge`], the full LLG simulator reproducing the
 //!    paper's OOMMF methodology, all behind the same interface,
 //! 6. [`scalability`] computes the graded input-energy schedules of the
@@ -51,7 +51,7 @@
 //! For throughput, open a [`backend::GateSession`]: the channel plan,
 //! layout, constructive references and equalised amplitudes are
 //! compiled once, then batches stream through the chosen backend —
-//! analytic, cached (truth-table LUT) or micromagnetic, switchable with
+//! analytic, cached (truth table) or micromagnetic, switchable with
 //! one argument:
 //!
 //! ```
@@ -94,7 +94,6 @@ pub mod error;
 pub mod gate;
 pub mod inline;
 pub mod layout_report;
-pub mod lut_store;
 pub mod micromag_bridge;
 pub mod robustness;
 pub mod scalability;
@@ -107,8 +106,8 @@ pub use error::GateError;
 /// Convenient re-exports of the types most users need.
 pub mod prelude {
     pub use crate::backend::{
-        AnalyticBackend, BackendChoice, CachedBackend, GateSession, LutStats, MicromagBackend,
-        OperandSet, SpinWaveBackend,
+        AnalyticBackend, BackendChoice, CachedBackend, GateSession, GateTable, LutStats,
+        MicromagBackend, OperandSet, SpinWaveBackend,
     };
     pub use crate::channel::{ChannelPlan, FrequencyChannel};
     pub use crate::encoding::ReadoutMode;

@@ -74,6 +74,15 @@ impl Word {
         })
     }
 
+    /// A word of this word's width holding `bits`, truncated to it.
+    /// Infallible: the width was validated when `self` was made.
+    pub(crate) fn with_bits(self, bits: u64) -> Self {
+        Word {
+            bits: bits & mask(self.width),
+            ..self
+        }
+    }
+
     /// An 8-bit word from a byte — the paper's byte-wide operand.
     pub fn from_u8(byte: u8) -> Self {
         Word {

@@ -8,8 +8,8 @@
 //!
 //! * [`protocol`] — a hand-rolled, versioned, checksummed,
 //!   length-prefixed binary frame format (submit / response / error /
-//!   retry-after / hello), following the `magnon_core::lut_store`
-//!   conventions since the workspace's serde shim is a no-op;
+//!   retry-after / hello), little-endian with an FNV-1a checksum,
+//!   written by hand since the workspace's serde shim is a no-op;
 //! * [`NetServer`] — an accept loop plus per-connection reader threads
 //!   and writer pumps over plain `std::net` (the container vendors no
 //!   tokio/mio); completions are delivered out of order by tag, and

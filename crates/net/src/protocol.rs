@@ -1,7 +1,6 @@
 //! The wire protocol: hand-rolled, versioned, checksummed,
 //! length-prefixed binary frames (the workspace's serde shim is a
-//! no-op, so serialization is explicit — same conventions as
-//! [`magnon_core::lut_store`]).
+//! no-op, so serialization is explicit).
 //!
 //! # Frame layout
 //!
@@ -67,7 +66,7 @@ const MAX_MESSAGE_BYTES: usize = 512;
 /// One gate in the server's directory, as advertised by the hello-ack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateInfo {
-    /// Registration name (also the LUT file stem server-side).
+    /// Registration name.
     pub name: String,
     /// Operand words per request.
     pub input_count: u8,

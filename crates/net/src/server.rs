@@ -140,7 +140,7 @@ enum Outbound {
 ///
 /// The server shares the scheduler through an [`Arc`]: shut the server
 /// down first, then recover the scheduler (e.g. via
-/// [`Arc::try_unwrap`]) for its LUT-persisting shutdown.
+/// [`Arc::try_unwrap`]) for its joining shutdown.
 pub struct NetServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,

@@ -38,7 +38,6 @@ fn quick_serve_config() -> ServeConfig {
         max_batch: 64,
         linger: Duration::from_micros(100),
         queue_depth: 256,
-        lut_dir: None,
     }
 }
 
@@ -260,10 +259,11 @@ fn hostile_peers_cannot_kill_the_server() {
     assert_eq!(out.unwrap().to_u8(), 0x5A);
     drop(client);
 
-    // A handcrafted wrong-shape submit that really crosses the wire
-    // (the frame format allows 1..=16 operands for any gate): the
-    // scheduler's gate error must come back as a tagged Gate error
-    // frame through the writer pump, and the connection must survive.
+    // Handcrafted wrong-shape submits that really cross the wire (the
+    // frame format allows 1..=16 operands of any width for any gate):
+    // the scheduler refuses each at submit, the refusal must come back
+    // as exactly one tagged Gate error frame, and the connection must
+    // survive.
     {
         let mut raw = TcpStream::connect(addr).unwrap();
         raw.write_all(
@@ -278,24 +278,29 @@ fn hostile_peers_cannot_kill_the_server() {
             magnon_net::protocol::read_frame(&mut (&raw)),
             Ok(Frame::HelloAck { .. })
         ));
-        // Gate 0 is a 3-input majority; send one operand.
-        raw.write_all(
-            &Frame::Submit {
-                tag: 41,
-                gate: 0,
-                lane: None,
-                operands: vec![Word::from_u8(0x7E)],
+        // Gate 0 is a 3-input 8-bit majority: send one operand, then
+        // three 4-bit operands.
+        let nibble = Word::from_bits(0x7, 4).unwrap();
+        for (tag, operands) in [(41, vec![Word::from_u8(0x7E)]), (43, vec![nibble; 3])] {
+            raw.write_all(
+                &Frame::Submit {
+                    tag,
+                    gate: 0,
+                    lane: None,
+                    operands,
+                }
+                .encode(),
+            )
+            .unwrap();
+            match magnon_net::protocol::read_frame(&mut (&raw)) {
+                Ok(Frame::Error { tag: t, code, .. }) if t == tag => {
+                    assert_eq!(code, magnon_net::WireErrorCode::Gate)
+                }
+                other => panic!("expected a tagged gate error, got {other:?}"),
             }
-            .encode(),
-        )
-        .unwrap();
-        match magnon_net::protocol::read_frame(&mut (&raw)) {
-            Ok(Frame::Error { tag: 41, code, .. }) => {
-                assert_eq!(code, magnon_net::WireErrorCode::Gate)
-            }
-            other => panic!("expected a tagged gate error, got {other:?}"),
         }
-        // The same connection still serves a well-formed request.
+        // The same connection still serves a well-formed request, and
+        // its response is the next frame: each refusal drew one frame.
         raw.write_all(
             &Frame::Submit {
                 tag: 42,
@@ -465,7 +470,6 @@ fn backpressure_surfaces_as_retry_after_and_still_completes() {
         max_batch: 4,
         linger: Duration::from_micros(500),
         queue_depth: 1,
-        lut_dir: None,
     });
     let reference: Vec<ParallelGate> = (0..scheduler.gate_count())
         .map(|i| {

@@ -7,11 +7,13 @@ use std::fmt;
 /// Errors surfaced by the scheduler and its client handles.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The gate model itself failed (operand shape, backend error,
-    /// persistence).
+    /// The gate model itself failed (operand shape, table size, backend
+    /// error).
     Gate(GateError),
-    /// A [`crate::ServeConfig`] that cannot produce a working runtime
-    /// (e.g. `max_batch == 0`, which would silently disable batching).
+    /// A [`crate::ServeConfig`] or registration that cannot produce a
+    /// working runtime (e.g. `max_batch == 0`, which would silently
+    /// disable batching, a duplicate gate name, or a gate whose truth
+    /// table exceeds the size cap).
     Config {
         /// What is wrong with the configuration.
         reason: String,
@@ -34,8 +36,8 @@ pub enum ServeError {
     /// later and can be waited on again).
     Timeout,
     /// One or more workers panicked during [`crate::Scheduler::shutdown`].
-    /// The surviving shards were still joined and their LUTs persisted —
-    /// the enclosed report covers everything that could be salvaged.
+    /// The surviving shards were still joined — the enclosed report
+    /// carries the final counters.
     WorkerPanicked {
         /// Shards whose worker threads panicked.
         shards: Vec<usize>,
@@ -65,9 +67,9 @@ impl fmt::Display for ServeError {
             ServeError::WorkerPanicked { shards, report } => {
                 write!(
                     f,
-                    "worker shard(s) {shards:?} panicked during shutdown ({} LUT entries \
-                     salvaged from survivors)",
-                    report.lut_entries_saved
+                    "worker shard(s) {shards:?} panicked during shutdown ({} requests \
+                     completed)",
+                    report.stats.completed
                 )
             }
             ServeError::Shutdown => write!(f, "the serving runtime has shut down"),

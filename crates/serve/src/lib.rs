@@ -13,22 +13,21 @@
 //!   shard its [`magnon_core::gate::WaveguideId`] hashes to at build
 //!   time, so gates sharing a waveguide batch *across gates* in a
 //!   single drain cycle, and the frequency lanes of one waveguide stack
-//!   into one multi-lane FDM pass; `N` workers each own the backend
-//!   sessions of their gates;
-//! * **lock-free [`telemetry`]** — per-shard queue, drain and LUT
-//!   gauges and per-lane served counters, read as one snapshot;
+//!   into one multi-lane FDM pass;
+//! * **one truth table per gate** — [`SchedulerBuilder::build`] builds
+//!   each registered gate's `n · 2^m`
+//!   [`magnon_core::backend::GateTable`] once and shares it with every
+//!   worker; [`Scheduler::submit`] checks operand shapes, so a drain
+//!   answers every request it holds;
+//! * **lock-free [`telemetry`]** — per-shard queue and drain gauges and
+//!   per-lane served counters, read as one snapshot;
 //! * [`CircuitExecutor`] — the one way to serve a whole circuit: it
 //!   runs a compiled plan ([`magnon_compiler::CompiledCircuit`],
 //!   registered with [`register_compiled`]) through the scheduler with
 //!   dependency-aware pipelined submission. Each gate node's request
 //!   goes out the moment its operands complete, so independent
 //!   subgraphs (and different operand sets) interleave across shards
-//!   and frequency lanes instead of marching level by level;
-//! * **LUT persistence** — with [`ServeConfig::lut_dir`] set, cached
-//!   backends save their truth-table LUTs on
-//!   [`Scheduler::shutdown`] and reload them on
-//!   [`SchedulerBuilder::build`], making warm restarts recomputation-
-//!   free (format: [`magnon_core::lut_store`]).
+//!   and frequency lanes instead of marching level by level.
 //!
 //! # Example
 //!
@@ -92,8 +91,10 @@ mod tests {
     use super::*;
     use magnon_core::backend::{BackendChoice, OperandSet};
     use magnon_core::gate::{ParallelGateBuilder, WaveguideId};
+    use magnon_core::micromag_bridge::ValidationSettings;
     use magnon_core::truth::LogicFunction;
     use magnon_core::word::Word;
+    use magnon_core::GateError;
     use magnon_physics::waveguide::Waveguide;
     use std::time::Duration;
 
@@ -103,7 +104,6 @@ mod tests {
             max_batch: 64,
             linger: Duration::from_micros(100),
             queue_depth: 256,
-            lut_dir: None,
         }
     }
 
@@ -236,14 +236,54 @@ mod tests {
         let good = OperandSet::new(vec![Word::from_u8(1), Word::from_u8(2), Word::from_u8(3)]);
         let bad = OperandSet::new(vec![Word::from_u8(1)]);
         let t_good = scheduler.submit(id, good.clone()).unwrap();
-        let t_bad = scheduler.submit(id, bad).unwrap();
+        assert!(matches!(
+            scheduler.submit(id, bad),
+            Err(ServeError::Gate(_))
+        ));
         let t_good2 = scheduler.submit(id, good.clone()).unwrap();
         assert!(t_good.wait().is_ok());
-        assert!(matches!(t_bad.wait(), Err(ServeError::Gate(_))));
         assert!(t_good2.wait().is_ok());
         let stats = scheduler.stats();
+        assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);
-        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.failed, 0);
+        scheduler.shutdown().unwrap();
+    }
+
+    #[test]
+    fn malformed_sets_are_refused_at_submit() {
+        // A set with the wrong operand count or word width fails at
+        // submit and try_submit alike, before anything is queued.
+        let gate = byte_majority();
+        let mut builder = SchedulerBuilder::new(quick_config(1));
+        let id = builder
+            .register("maj3", gate, BackendChoice::Cached)
+            .unwrap();
+        let scheduler = builder.build().unwrap();
+        let short = OperandSet::new(vec![Word::from_u8(1), Word::from_u8(2)]);
+        let narrow = OperandSet::new(vec![Word::zeros(4).unwrap(); 3]);
+        for submit in [Scheduler::submit, Scheduler::try_submit] {
+            assert!(matches!(
+                submit(&scheduler, id, short.clone()),
+                Err(ServeError::Gate(GateError::InputCountMismatch {
+                    expected: 3,
+                    actual: 2
+                }))
+            ));
+            assert!(matches!(
+                submit(&scheduler, id, narrow.clone()),
+                Err(ServeError::Gate(GateError::WordWidthMismatch {
+                    expected: 8,
+                    actual: 4
+                }))
+            ));
+        }
+        let stats = scheduler.stats();
+        assert_eq!(stats.submitted, 0, "a refused set is never queued");
+        assert_eq!(scheduler.telemetry().shards[0].queued, 0);
+        // The scheduler keeps serving well-formed sets.
+        let ok = sample_sets(1, 3).pop().unwrap();
+        scheduler.submit(id, ok).unwrap().wait().unwrap();
         scheduler.shutdown().unwrap();
     }
 
@@ -256,14 +296,51 @@ mod tests {
             .unwrap();
         assert!(matches!(
             builder.register("maj3", gate.clone(), BackendChoice::Analytic),
-            Err(ServeError::Gate(_))
+            Err(ServeError::Config { .. })
         ));
+        // Names compare raw: one that differs only in a character a
+        // file name could not carry is a different gate.
+        builder
+            .register("maj3/a", gate.clone(), BackendChoice::Analytic)
+            .unwrap();
+        builder
+            .register("maj3_a", gate.clone(), BackendChoice::Analytic)
+            .unwrap();
         let scheduler = builder.build().unwrap();
         let bogus = GateId(7);
         assert!(matches!(
             scheduler.submit(bogus, sample_sets(1, 3).pop().unwrap()),
             Err(ServeError::UnknownGate { index: 7 })
         ));
+        scheduler.shutdown().unwrap();
+    }
+
+    #[test]
+    fn micromag_and_oversized_tables_are_refused_at_registration() {
+        let mut builder = SchedulerBuilder::new(quick_config(1));
+        let micromag = BackendChoice::Micromag(ValidationSettings::default());
+        assert!(matches!(
+            builder.register("maj3", byte_majority(), micromag),
+            Err(ServeError::Config { .. })
+        ));
+        // 16 channels x 2^17 combos = 2^21 readouts, twice the cap.
+        let huge = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
+            .channels(16)
+            .inputs(17)
+            .build()
+            .unwrap();
+        match builder.register("maj17", huge, BackendChoice::Cached) {
+            Err(ServeError::Config { reason }) => {
+                assert!(reason.contains("2097152-readout"), "{reason}");
+            }
+            other => panic!("an oversized table must be refused, got {other:?}"),
+        }
+        let scheduler = builder.build().unwrap();
+        assert_eq!(
+            scheduler.gate_count(),
+            0,
+            "refused gates are not registered"
+        );
         scheduler.shutdown().unwrap();
     }
 
@@ -304,7 +381,6 @@ mod tests {
             max_batch: 4,
             linger: Duration::from_millis(50),
             queue_depth: 1,
-            lut_dir: None,
         });
         let id = builder
             .register("maj3", gate, BackendChoice::Analytic)
@@ -344,7 +420,6 @@ mod tests {
             max_batch: 1,
             linger: Duration::ZERO,
             queue_depth: 1,
-            lut_dir: None,
         });
         let id = builder
             .register("maj3", gate, BackendChoice::Cached)
@@ -497,7 +572,6 @@ mod tests {
             max_batch: 64,
             linger: Duration::from_millis(2),
             queue_depth: 256,
-            lut_dir: None,
         });
         let maj = builder
             .register("maj_lane0", byte_majority(), BackendChoice::Cached)
@@ -671,7 +745,6 @@ mod tests {
             max_batch: 64,
             linger: Duration::from_millis(2),
             queue_depth: 256,
-            lut_dir: None,
         });
         let make = |wg: u64| {
             ParallelGateBuilder::new(guide)
@@ -718,7 +791,6 @@ mod tests {
             max_batch: 64,
             linger: Duration::from_millis(2),
             queue_depth: 256,
-            lut_dir: None,
         });
         let maj = builder
             .register("maj3", byte_majority(), BackendChoice::Cached)

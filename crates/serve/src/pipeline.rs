@@ -64,8 +64,12 @@ impl CompiledGates {
 /// majority and one 2-input XOR gate per slot, on the slot's frequency
 /// lane of waveguide `first_waveguide + slot.waveguide` (plans number
 /// their waveguides from zero; rebasing lets several compiled circuits
-/// share a scheduler without id or LUT-name collisions — give each
-/// plan a disjoint waveguide-id block).
+/// share a scheduler without id or name collisions — give each plan
+/// a disjoint waveguide-id block).
+///
+/// `choice` is kept only because the `perfbench` benchmark still
+/// passes it; it goes when that call does (see
+/// [`SchedulerBuilder::register`]).
 ///
 /// # Errors
 ///
@@ -438,7 +442,6 @@ mod tests {
             max_batch: 64,
             linger: Duration::from_micros(50),
             queue_depth: 256,
-            lut_dir: None,
         }
     }
 

@@ -4,49 +4,58 @@
 //!
 //! ```text
 //!  clients ── submit(GateId, OperandSet) ──► Ticket
-//!      │
+//!      │     (operand shapes checked here)
 //!      ▼  route to the gate's shard, fixed at build time by its
 //!      │  WaveguideId (every lane of one waveguide shares a shard)
 //!  ┌───────────────┐   ┌───────────────┐
 //!  │ shard 0 queue │   │ shard 1 queue │   … bounded MPSC
 //!  └──────┬────────┘   └──────┬────────┘
 //!         ▼                   ▼
-//!   worker thread        worker thread     each owns the backend
-//!   drain → group        drain → group     sessions of the gates
-//!   by gate → stack      by gate → stack   placed on it
-//!   lanes of a           lanes of a
+//!   worker thread        worker thread     every worker reads the
+//!   drain → group        drain → group     same per-gate truth
+//!   by gate → stack      by gate → stack   tables, built once at
+//!   lanes of a           lanes of a        build()
 //!   waveguide → FDM      waveguide → FDM
-//!   evaluate pass        evaluate pass
+//!   pass                 pass
 //! ```
 //!
 //! A worker drains its queue in cycles: it blocks on the first request,
 //! sweeps whatever is already queued (up to the batch cap), groups what
-//! it got, and issues one [`GateSession::evaluate_batch`] per group.
-//! With the default zero [`ServeConfig::linger`] there is no timed
-//! wait: a lone request is served on arrival, and a backlog that built
-//! up while the worker was busy forms the next batch. Because routing
-//! is by [`WaveguideId`], a drain cycle naturally coalesces requests
-//! across *different* gates sharing a waveguide — the cross-gate data
-//! parallelism of the companion paper (arXiv:2008.12220) — while
-//! requests for the same gate ride one batch, the in-waveguide
-//! parallelism of the source paper.
+//! it got, and answers each group with one pass of the bit-sliced
+//! kernel ([`GateTable::sliced_words`]). With the default zero
+//! [`ServeConfig::linger`] there is no timed wait: a lone request is
+//! served on arrival, and a backlog that built up while the worker was
+//! busy forms the next batch. Because routing is by [`WaveguideId`], a
+//! drain cycle naturally coalesces requests across *different* gates
+//! sharing a waveguide — the cross-gate data parallelism of the
+//! companion paper (arXiv:2008.12220) — while requests for the same
+//! gate ride one batch, the in-waveguide parallelism of the source
+//! paper.
+//!
+//! # Truth tables
+//!
+//! In the paper's gate each frequency channel decodes only the `m`
+//! input bits it carries, so a served gate is fully described by its
+//! `n · 2^m` [`GateTable`]. [`SchedulerBuilder::build`] builds one per
+//! registered gate, from the analytic device model and the gate's own
+//! frequency plan, and shares them read-only with every worker.
+//! [`Scheduler::submit`] checks each set's operand count and width
+//! against the gate, so a table lookup in the drain cannot fail.
 //!
 //! # Placement
 //!
 //! Placement is static: [`SchedulerBuilder::build`] puts each waveguide
-//! on `static_shard(waveguide, workers)`, a bit-mixed hash of its id,
-//! and moves every gate's warm session onto that shard. A gate lives on
-//! exactly one shard for the scheduler's lifetime, so a worker never
-//! builds a session on demand.
+//! on `static_shard(waveguide, workers)`, a bit-mixed hash of its id. A
+//! gate's requests go to exactly one shard for the scheduler's
+//! lifetime.
 //!
 //! # Frequency-division multiplexing
 //!
 //! Gates carrying the same [`WaveguideId`] but distinct [`LaneId`]s
 //! occupy disjoint frequency bands of one physical medium, so their
-//! groups do not stay separate batches: the drain stacks every lane of
-//! a waveguide into one multi-lane [`evaluate_fdm_batch_logic`]
-//! pass (micromagnetic backends are excluded: their time-domain
-//! simulation is per-gate). Per-shard FDM pass counters and per-lane
+//! groups do not stay separate batches: the drain stacks one group per
+//! lane of a waveguide into one multi-lane FDM pass, each lane read
+//! from its own gate's table. Per-shard FDM pass counters and per-lane
 //! served counters surface through [`Scheduler::telemetry`]; register
 //! lane-shifted circuit gates with
 //! [`SchedulerBuilder::register_circuit_gates_on_lane`].
@@ -56,26 +65,13 @@
 //! own through a one-slot reply channel. A worker answers with
 //! `try_send`, so it never blocks on a reply: each channel carries
 //! exactly one answer, and a dropped ticket just discards it.
-//!
-//! # LUT persistence
-//!
-//! With [`ServeConfig::lut_dir`] set, [`SchedulerBuilder::build`] loads
-//! each gate's persisted truth-table LUT (if present and valid) into
-//! the gate's session before handing it to its shard, and
-//! [`Scheduler::shutdown`] merges every shard's LUT and writes it back
-//! (atomically — a crash mid-write never corrupts the previous file).
-//! A warm restart therefore serves from the first request without
-//! recomputing any channel readout.
 
 use crate::error::ServeError;
 use crate::request::{EvalJob, GateId, SchedulerStats, SharedStats, Ticket};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use magnon_circuits::netlist::{fdm_lane_base, packed_frequency_step};
-use magnon_core::backend::{
-    evaluate_fdm_batch_logic, BackendChoice, GateSession, LaneBatch, OperandSet, RequestTag,
-};
+use magnon_core::backend::{BackendChoice, GateTable, OperandSet, RequestTag, MAX_TABLE_ENTRIES};
 use magnon_core::gate::{GateOutput, LaneId, ParallelGate, ParallelGateBuilder, WaveguideId};
-use magnon_core::lut_store::{load_lut, save_lut, LutSnapshot};
 use magnon_core::sync::atomic::{AtomicU64, Ordering};
 use magnon_core::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use magnon_core::sync::thread::{self, JoinHandle};
@@ -85,7 +81,6 @@ use magnon_core::truth::LogicFunction;
 use magnon_core::GateError;
 use magnon_physics::waveguide::Waveguide;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
@@ -110,9 +105,6 @@ pub struct ServeConfig {
     /// Bound of each shard's request queue; blocking submission applies
     /// backpressure when full.
     pub queue_depth: usize,
-    /// Directory for persisted LUT files (`<gate name>.mglut`). `None`
-    /// disables persistence.
-    pub lut_dir: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -122,7 +114,6 @@ impl Default for ServeConfig {
             max_batch: 256,
             linger: Duration::ZERO,
             queue_depth: 1024,
-            lut_dir: None,
         }
     }
 }
@@ -130,17 +121,15 @@ impl Default for ServeConfig {
 /// One registered gate's bookkeeping.
 struct GateEntry {
     name: String,
-    /// Introspection clone (the serving session lives on its shard).
+    /// The gate, for shape checks at submit and introspection.
     gate: ParallelGate,
     /// The shard serving this gate, fixed at build time.
     shard: usize,
-    lut_loaded: usize,
 }
 
-/// Per-gate routing facts shared with every worker (read-only after
+/// What every worker knows about one registered gate (read-only after
 /// build).
-#[derive(Debug, Clone, Copy)]
-struct GateMeta {
+struct ServedGate {
     /// Index into the per-`(waveguide, lane)` telemetry table.
     lane_slot: usize,
     /// The gate's waveguide — FDM passes only stack lanes of one
@@ -148,9 +137,9 @@ struct GateMeta {
     waveguide: WaveguideId,
     /// The gate's frequency lane on that waveguide.
     lane: LaneId,
-    /// Whether this gate's backend may join a multi-lane FDM pass
-    /// (micromag never does: its time-domain simulation is per-gate).
-    fdm_ok: bool,
+    /// The gate's truth table; every request for the gate is answered
+    /// from it.
+    table: GateTable,
 }
 
 /// Registers gates, then builds the runtime.
@@ -183,7 +172,7 @@ struct GateMeta {
 /// ```
 pub struct SchedulerBuilder {
     config: ServeConfig,
-    registrations: Vec<(String, ParallelGate, BackendChoice)>,
+    registrations: Vec<(String, ParallelGate)>,
 }
 
 impl SchedulerBuilder {
@@ -195,16 +184,21 @@ impl SchedulerBuilder {
         }
     }
 
-    /// Registers `gate` under `name` (also the LUT file stem when
-    /// persistence is on), serving through `choice`'s backend on the
-    /// gate's shard.
+    /// Registers `gate` under `name`; every request for it is answered
+    /// from its truth table, built at [`SchedulerBuilder::build`].
+    ///
+    /// `choice` is kept only because the `perfbench` benchmark still
+    /// passes it; it goes when that call does. [`BackendChoice::Analytic`]
+    /// and [`BackendChoice::Cached`] both serve the analytic device
+    /// model's table. [`BackendChoice::Micromag`] is refused: no serving
+    /// caller uses it, and it stays for offline validation through a
+    /// [`magnon_core::backend::GateSession`].
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Gate`] for a duplicate name — compared on
-    /// the sanitized LUT file stem, so two names that would persist to
-    /// the same `.mglut` file (e.g. `maj3/a` and `maj3_a`) cannot
-    /// coexist and silently overwrite each other's tables.
+    /// [`ServeError::Config`] for a duplicate name, for
+    /// [`BackendChoice::Micromag`], and for a gate whose table would
+    /// hold more than [`MAX_TABLE_ENTRIES`] readouts (`n · 2^m`).
     pub fn register(
         &mut self,
         name: impl Into<String>,
@@ -212,18 +206,32 @@ impl SchedulerBuilder {
         choice: BackendChoice,
     ) -> Result<GateId, ServeError> {
         let name = name.into();
-        let stem = lut_stem(&name);
-        if self
-            .registrations
-            .iter()
-            .any(|(n, _, _)| lut_stem(n) == stem)
-        {
-            return Err(ServeError::Gate(GateError::Persistence {
-                reason: format!("gate name `{name}` collides with an earlier registration (LUT file stem `{stem}`)"),
-            }));
+        if self.registrations.iter().any(|(n, _)| *n == name) {
+            return Err(ServeError::Config {
+                reason: format!("gate name `{name}` is already registered"),
+            });
+        }
+        if matches!(choice, BackendChoice::Micromag(_)) {
+            return Err(ServeError::Config {
+                reason: format!(
+                    "gate `{name}`: the scheduler serves truth tables of the analytic model; \
+                     evaluate micromagnetic backends through a GateSession"
+                ),
+            });
+        }
+        let entries = GateTable::entries_for(&gate);
+        if entries > MAX_TABLE_ENTRIES {
+            return Err(ServeError::Config {
+                reason: format!(
+                    "gate `{name}` needs a {}-channel × 2^{} = {entries}-readout truth table, \
+                     over the {MAX_TABLE_ENTRIES}-readout cap",
+                    gate.word_width(),
+                    gate.input_count(),
+                ),
+            });
         }
         let id = GateId(self.registrations.len());
-        self.registrations.push((name, gate, choice));
+        self.registrations.push((name, gate));
         Ok(id)
     }
 
@@ -234,9 +242,14 @@ impl SchedulerBuilder {
     /// gates carry `waveguide_id` (on frequency lane 0), so their
     /// traffic shares a shard and coalesces.
     ///
+    /// `choice` is kept only because the `perfbench` benchmark still
+    /// passes it; it goes when that call does (see
+    /// [`SchedulerBuilder::register`]).
+    ///
     /// # Errors
     ///
-    /// Gate construction failures and duplicate names.
+    /// Gate construction failures and [`SchedulerBuilder::register`]'s
+    /// conditions.
     pub fn register_circuit_gates(
         &mut self,
         waveguide: Waveguide,
@@ -255,10 +268,14 @@ impl SchedulerBuilder {
     /// paper (arXiv:2008.12220). A whole-waveguide drain then coalesces
     /// the lanes into one multi-lane pass.
     ///
+    /// `choice` is kept only because the `perfbench` benchmark still
+    /// passes it; it goes when that call does.
+    ///
     /// # Errors
     ///
     /// Gate construction failures (e.g. a lane band beyond what the
-    /// dispersion branch supports) and duplicate names.
+    /// dispersion branch supports) and [`SchedulerBuilder::register`]'s
+    /// conditions.
     pub fn register_circuit_gates_on_lane(
         &mut self,
         waveguide: Waveguide,
@@ -289,8 +306,8 @@ impl SchedulerBuilder {
             .on_lane(lane)
             .build()
             .map_err(ServeError::Gate)?;
-        // Lane 0 keeps the pre-FDM names, so existing LUT files and
-        // registrations stay valid.
+        // Lane 0 keeps the pre-FDM names, so existing registrations and
+        // wire directories stay valid.
         let suffix = if lane.0 == 0 {
             String::new()
         } else {
@@ -309,18 +326,16 @@ impl SchedulerBuilder {
         Ok((maj_id, xor_id))
     }
 
-    /// Builds the runtime: validates the configuration, loads persisted
-    /// LUTs, places each waveguide's gates on one shard and spawns the
-    /// workers.
+    /// Builds the runtime: validates the configuration, builds every
+    /// gate's truth table, places each waveguide's gates on one shard
+    /// and spawns the workers.
     ///
     /// # Errors
     ///
     /// * [`ServeError::Config`] for an unusable configuration
-    ///   (`max_batch == 0`).
-    /// * [`ServeError::Gate`] for backend construction failures.
-    /// * [`ServeError::Gate`] wrapping [`GateError::Persistence`] when
-    ///   a persisted LUT file exists but is corrupted or belongs to a
-    ///   different gate design (delete the stale file to proceed).
+    ///   (`max_batch == 0`, overlapping lanes of one waveguide).
+    /// * [`ServeError::Gate`] when a table cannot be built or a worker
+    ///   thread cannot be spawned.
     pub fn build(self) -> Result<Scheduler, ServeError> {
         let mut config = self.config;
         if config.max_batch == 0 {
@@ -338,8 +353,8 @@ impl SchedulerBuilder {
         // only real when their spectra cannot interfere. (Same-lane
         // gates may share a band: they serve as separate passes, the
         // pre-FDM behaviour.)
-        for (i, (name_a, gate_a, _)) in self.registrations.iter().enumerate() {
-            for (name_b, gate_b, _) in self.registrations.iter().skip(i + 1) {
+        for (i, (name_a, gate_a)) in self.registrations.iter().enumerate() {
+            for (name_b, gate_b) in self.registrations.iter().skip(i + 1) {
                 if gate_a.waveguide_id() == gate_b.waveguide_id()
                     && gate_a.lane_id() != gate_b.lane_id()
                     && gate_a.frequency_lane().overlaps(gate_b.frequency_lane())
@@ -367,22 +382,8 @@ impl SchedulerBuilder {
         let mut lane_slots: BTreeMap<(u64, u16), usize> = BTreeMap::new();
         let mut placements: Vec<(WaveguideId, LaneId, usize)> = Vec::new();
         let mut entries = Vec::with_capacity(gate_count);
-        let mut meta: Vec<GateMeta> = Vec::with_capacity(gate_count);
-        // `shard_sessions[shard][gate]`: each gate's one session, on the
-        // shard its waveguide hashes to.
-        let mut shard_sessions: Vec<Vec<Option<GateSession>>> = (0..config.workers)
-            .map(|_| (0..gate_count).map(|_| None).collect())
-            .collect();
-        for (index, (name, gate, choice)) in self.registrations.into_iter().enumerate() {
-            let mut session = GateSession::new(gate.clone(), choice)?;
-            let mut lut_loaded = 0;
-            if let Some(dir) = &config.lut_dir {
-                let path = lut_path(dir, &name);
-                if path.exists() {
-                    let snapshot = load_lut(&path)?;
-                    lut_loaded = session.import_lut(&snapshot)?;
-                }
-            }
+        let mut served = Vec::with_capacity(gate_count);
+        for (name, gate) in self.registrations {
             let waveguide = gate.waveguide_id();
             let lane = gate.lane_id();
             // The shard comes from the waveguide alone, so every lane of
@@ -392,38 +393,26 @@ impl SchedulerBuilder {
                 placements.push((waveguide, lane, shard));
                 placements.len() - 1
             });
-            meta.push(GateMeta {
+            served.push(ServedGate {
                 lane_slot,
                 waveguide,
                 lane,
-                fdm_ok: !matches!(choice, BackendChoice::Micromag(_)),
+                table: GateTable::new(&gate)?,
             });
-            if let Some(slot) = shard_sessions
-                .get_mut(shard)
-                .and_then(|sessions| sessions.get_mut(index))
-            {
-                *slot = Some(session);
-            }
-            entries.push(GateEntry {
-                name,
-                gate,
-                shard,
-                lut_loaded,
-            });
+            entries.push(GateEntry { name, gate, shard });
         }
+        let gates: Arc<[ServedGate]> = served.into();
 
         let telemetry = Arc::new(Telemetry::new(config.workers, config.linger, placements));
         let stats = Arc::new(SharedStats::default());
-        let meta = Arc::new(meta);
         let mut senders = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
-        for (shard, sessions) in shard_sessions.into_iter().enumerate() {
+        for shard in 0..config.workers {
             let (tx, rx) = mpsc::sync_channel(config.queue_depth);
             let worker = Worker {
                 shard,
                 rx,
-                sessions,
-                meta: Arc::clone(&meta),
+                gates: Arc::clone(&gates),
                 linger: config.linger,
                 max_batch: config.max_batch,
                 stats: Arc::clone(&stats),
@@ -449,27 +438,8 @@ impl SchedulerBuilder {
             stats,
             telemetry,
             next_tag: AtomicU64::new(0),
-            config,
         })
     }
-}
-
-/// Gate name → tame file stem; `register` enforces uniqueness on this,
-/// not on the raw name, so no two gates persist to the same file.
-fn lut_stem(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-fn lut_path(dir: &std::path::Path, name: &str) -> PathBuf {
-    dir.join(format!("{}.mglut", lut_stem(name)))
 }
 
 /// Splitmix64 finalizer: an invertible multiplicative bit-mix.
@@ -497,15 +467,12 @@ fn static_shard(waveguide: WaveguideId, workers: usize) -> usize {
 /// the waived amortized-growth sites that fill these.
 #[derive(Default)]
 struct DrainScratch {
-    /// Level-1 association list, gate index → jobs. Replaces a
-    /// per-drain `BTreeMap`: linear scans win at drain-sized group
-    /// counts, and the entries reuse pooled job vectors instead of
-    /// allocating a node per job.
+    /// Association list, gate index → jobs. Replaces a per-drain
+    /// `BTreeMap`: linear scans win at drain-sized group counts, and
+    /// the entries reuse pooled job vectors instead of allocating a
+    /// node per job. Sorted by waveguide before serving, so each
+    /// waveguide's groups form one contiguous run.
     groups: Vec<(usize, Vec<EvalJob>)>,
-    /// FDM-capable groups peeled out of `groups`, re-keyed by
-    /// waveguide id and sorted so each waveguide's candidates form one
-    /// contiguous run.
-    fdm: Vec<(u64, Vec<EvalJob>)>,
     /// Emptied job vectors handed back by the serve paths.
     pool: Vec<Vec<EvalJob>>,
     /// Per-waveguide lane election: `(lane, run offset, depth)`.
@@ -522,24 +489,19 @@ struct DrainScratch {
 #[derive(Default)]
 struct GroupStage {
     sets: Vec<OperandSet>,
-    replies: Vec<(usize, RequestTag, ReplySender)>,
-    /// Per-lane served tally for [`Worker::note_lanes_served`].
-    tally: Vec<(usize, u64)>,
+    replies: Vec<(RequestTag, ReplySender)>,
 }
 
 /// The one-slot completion channel carried by every [`EvalJob`].
 type ReplySender = SyncSender<(RequestTag, Result<GateOutput, GateError>)>;
 
-/// One worker shard: a bounded queue and its own backend instances.
+/// One worker shard: a bounded queue over the shared gate tables.
 struct Worker {
     shard: usize,
     rx: Receiver<EvalJob>,
-    /// `sessions[gate index]` — filled at build for the gates placed
-    /// here, `None` for every other gate.
-    sessions: Vec<Option<GateSession>>,
-    /// `meta[gate index]` — lane slot, waveguide, lane and FDM
-    /// eligibility.
-    meta: Arc<Vec<GateMeta>>,
+    /// `gates[gate index]` — every registered gate's routing facts and
+    /// table, shared by all workers.
+    gates: Arc<[ServedGate]>,
     /// Fixed linger window (see [`ServeConfig::linger`]).
     linger: Duration,
     max_batch: usize,
@@ -549,14 +511,8 @@ struct Worker {
     scratch: DrainScratch,
 }
 
-/// What a worker hands back when its queue closes.
-struct WorkerReport {
-    /// `(gate index, LUT contents)` for every session that kept one.
-    luts: Vec<(usize, LutSnapshot)>,
-}
-
 impl Worker {
-    fn run(mut self) -> WorkerReport {
+    fn run(mut self) {
         let mut pending: Vec<EvalJob> = Vec::with_capacity(self.max_batch);
         loop {
             // Block for the cycle's first request; a closed queue is
@@ -588,14 +544,6 @@ impl Worker {
             self.serve_drain(&mut pending);
         }
         self.drain_stragglers(&mut pending);
-        WorkerReport {
-            luts: self
-                .sessions
-                .iter()
-                .enumerate()
-                .filter_map(|(idx, s)| Some((idx, s.as_ref()?.lut_snapshot()?)))
-                .collect(),
-        }
     }
 
     /// Serves everything still queued (or mid-collection in `pending`)
@@ -614,30 +562,14 @@ impl Worker {
         }
     }
 
-    /// The serving session for `gate`. A gate with no session here is
-    /// an error, not a panic — the drain path must keep serving the
-    /// other requests of the batch.
-    fn session_for(&mut self, gate: usize) -> Result<&mut GateSession, GateError> {
-        let shard = self.shard;
-        self.sessions
-            .get_mut(gate)
-            .and_then(Option::as_mut)
-            .ok_or_else(|| GateError::Runtime {
-                reason: format!("gate index {gate} has no session on shard {shard}"),
-            })
-    }
-
-    /// Routing facts for `gate`. Every caller runs behind
+    /// `(waveguide id, lane id)` of `gate`. Every caller runs behind
     /// [`Worker::serve_drain`]'s index assert, so the fallback (a
-    /// solitary non-FDM meta) is dead code that exists only to keep the
-    /// drain path free of panicking lookups.
-    fn meta_of(&self, gate: usize) -> GateMeta {
-        self.meta.get(gate).copied().unwrap_or(GateMeta {
-            lane_slot: 0,
-            waveguide: WaveguideId(u64::MAX),
-            lane: LaneId(u16::MAX),
-            fdm_ok: false,
-        })
+    /// waveguide and lane of its own) is dead code that exists only to
+    /// keep the drain path free of panicking lookups.
+    fn placement_of(&self, gate: usize) -> (u64, u16) {
+        self.gates
+            .get(gate)
+            .map_or((u64::MAX, u16::MAX), |g| (g.waveguide.0, g.lane.0))
     }
 
     /// Serves one drain cycle: group by gate, then stack groups riding
@@ -660,13 +592,13 @@ impl Worker {
         for job in pending.iter() {
             // analyze: allow(can-panic) — deliberate corruption trap, see above
             assert!(
-                job.gate < self.meta.len(),
+                job.gate < self.gates.len(),
                 "job targets unregistered gate index {}",
                 job.gate
             );
         }
         // The scratch moves out of `self` for the cycle (the serve
-        // calls below need `&mut self`) and moves back at the end.
+        // calls below need `&self`) and moves back at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
         for job in pending.drain(..) {
             let gate = job.gate;
@@ -683,21 +615,9 @@ impl Worker {
             }
         }
         let gates_touched = scratch.groups.len() as u64;
-        // Second level: peel the groups of FDM-capable gates out into
-        // `fdm`, re-keyed by waveguide. The rest (micromag) stay behind
-        // in `groups` and serve unstacked.
-        scratch.fdm.clear();
-        let fdm = &mut scratch.fdm;
-        scratch.groups.retain_mut(|(gate, group)| {
-            let meta = self.meta_of(*gate);
-            if meta.fdm_ok {
-                // analyze: allow(can-alloc) — amortized: scratch list
-                // keeps its capacity across drains.
-                fdm.push((meta.waveguide.0, std::mem::take(group)));
-            }
-            !meta.fdm_ok
-        });
-        scratch.fdm.sort_unstable_by_key(|entry| entry.0);
+        scratch
+            .groups
+            .sort_unstable_by_key(|(gate, _)| self.placement_of(*gate).0);
         let mut batches = 0u64;
         // Serve each waveguide run. At most ONE channel group per lane
         // may ride the stacked pass — groups sharing a lane occupy the
@@ -707,17 +627,19 @@ impl Worker {
         // as their own batches, exactly like pre-FDM cross-gate
         // coalescing.
         let mut start = 0;
-        while let Some(&(waveguide, _)) = scratch.fdm.get(start) {
+        while let Some(&(first, _)) = scratch.groups.get(start) {
+            let waveguide = self.placement_of(first).0;
             let mut end = start + 1;
-            while scratch.fdm.get(end).is_some_and(|e| e.0 == waveguide) {
+            while scratch
+                .groups
+                .get(end)
+                .is_some_and(|(gate, _)| self.placement_of(*gate).0 == waveguide)
+            {
                 end += 1;
             }
             scratch.lanes.clear();
-            for (offset, (_, group)) in scratch.fdm.iter().enumerate().take(end).skip(start) {
-                let Some(first) = group.first() else {
-                    continue;
-                };
-                let lane = self.meta_of(first.gate).lane.0;
+            for (offset, (gate, group)) in scratch.groups.iter().enumerate().take(end).skip(start) {
+                let lane = self.placement_of(*gate).1;
                 if let Some(entry) = scratch.lanes.iter_mut().find(|(l, _, _)| *l == lane) {
                     if entry.2 < group.len() {
                         *entry = (lane, offset, group.len());
@@ -731,7 +653,7 @@ impl Worker {
             let stack = scratch.lanes.len() >= 2;
             scratch.stacked.clear();
             for offset in start..end {
-                let Some((_, group)) = scratch.fdm.get_mut(offset) else {
+                let Some((_, group)) = scratch.groups.get_mut(offset) else {
                     continue;
                 };
                 let group = std::mem::take(group);
@@ -749,7 +671,8 @@ impl Worker {
                 }
             }
             if stack {
-                batches += self.serve_fdm(
+                batches += 1;
+                self.serve_fdm(
                     &mut scratch.stacked,
                     &mut scratch.pool,
                     scratch.lanes.len() as u64,
@@ -758,208 +681,46 @@ impl Worker {
             }
             start = end;
         }
-        // The leftovers FDM cannot stack.
-        while let Some((_, group)) = scratch.groups.pop() {
-            batches += 1;
-            let spent = self.serve_group(group, &mut scratch.stage);
-            // analyze: allow(can-alloc) — amortized: the pool grows to
-            // the drain's high-water group count.
-            scratch.pool.push(spent);
-        }
+        scratch.groups.clear();
         self.scratch = scratch;
         self.stats.record_drain(drained, batches, gates_touched);
-        self.publish_lut_stats();
-    }
-
-    /// Republishes this shard's LUT effectiveness gauge: the summed
-    /// hit/miss/dense-row counters of every live cached session. Runs
-    /// once per drain, off the per-request path.
-    fn publish_lut_stats(&self) {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut dense_rows = 0u64;
-        let mut any = false;
-        for session in self.sessions.iter().flatten() {
-            if let Some(stats) = session.lut_stats() {
-                hits += stats.hits;
-                misses += stats.misses;
-                dense_rows += stats.dense_rows as u64;
-                any = true;
-            }
-        }
-        if any {
-            self.telemetry
-                .publish_lut(self.shard, hits, misses, dense_rows);
-        }
     }
 
     /// Serves one whole-waveguide multi-lane pass: each group is one
     /// channel group (a gate design's queued jobs) riding its own
-    /// frequency lane, and all of them evaluate through a single
-    /// stacked [`evaluate_fdm_batch_logic`] call — the companion paper's
-    /// multi-frequency parallelism as a drain-path operation. Falls
-    /// back to per-request evaluation when the stacked pass fails as a
-    /// whole, so errors land only on the requests that earned them.
-    /// Returns the number of batches actually issued (1 for the
-    /// stacked pass; one per group when a missing session devolves the
-    /// stack into per-group serving).
+    /// frequency lane, each answered from its own gate's table — the
+    /// companion paper's multi-frequency parallelism as a drain-path
+    /// operation.
     fn serve_fdm(
-        &mut self,
+        &self,
         stacked: &mut Vec<Vec<EvalJob>>,
         pool: &mut Vec<Vec<EvalJob>>,
         lanes: u64,
         stage: &mut GroupStage,
-    ) -> u64 {
-        // Per-pass staging in this function is allocated fresh rather
-        // than pooled: an FDM stack carries at most one group per
-        // frequency lane of one waveguide, so every vector here is
-        // bounded by the waveguide's lane count, not by queue depth.
-        // Each group is one gate, so each lead's session can be taken
-        // out of the table exactly once.
-        let leads: Vec<usize> = stacked
-            .iter()
-            .filter_map(|group| group.first().map(|job| job.gate))
-            .collect(); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-
-        // Borrow every lead session at once by lifting them out of the
-        // slot table for the duration of the stacked call. Every gate
-        // routed here has its session on this shard, so a missing slot
-        // means the table is inconsistent — restore what was taken and
-        // serve per group (failing only that gate's requests) rather
-        // than panic mid-drain.
-        let mut sessions: Vec<GateSession> = Vec::with_capacity(leads.len()); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        for &lead in &leads {
-            match self.sessions.get_mut(lead).and_then(Option::take) {
-                Some(session) => sessions.push(session), // analyze: allow(can-alloc) — within the capacity above
-                None => {
-                    for (&taken, session) in leads.iter().zip(sessions) {
-                        if let Some(slot) = self.sessions.get_mut(taken) {
-                            *slot = Some(session);
-                        }
-                    }
-                    let devolved = stacked.len() as u64;
-                    for group in stacked.drain(..) {
-                        let spent = self.serve_group(group, stage);
-                        pool.push(spent); // analyze: allow(can-alloc) — amortized pool growth
-                    }
-                    return devolved;
-                }
-            }
-        }
-        let mut sets: Vec<Vec<OperandSet>> = Vec::with_capacity(stacked.len()); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        let mut replies = Vec::with_capacity(stacked.len()); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        let mut total_requests = 0u64;
-        for mut group in stacked.drain(..) {
-            let mut group_sets = Vec::with_capacity(group.len()); // analyze: allow(can-alloc) — per-lane staging, sized to its group
-            let mut group_replies = Vec::with_capacity(group.len()); // analyze: allow(can-alloc) — per-lane staging, sized to its group
-            total_requests += group.len() as u64;
-            for job in group.drain(..) {
-                group_sets.push(job.set); // analyze: allow(can-alloc) — within the capacity above
-                group_replies.push((job.gate, job.tag, job.reply)); // analyze: allow(can-alloc) — within the capacity above
-            }
-            pool.push(group); // analyze: allow(can-alloc) — amortized pool growth
-            sets.push(group_sets); // analyze: allow(can-alloc) — within the capacity above
-            replies.push(group_replies); // analyze: allow(can-alloc) — within the capacity above
-        }
-        let mut lane_batches: Vec<LaneBatch<'_>> = sessions
-            .iter_mut()
-            .zip(&sets)
-            .map(|(session, lane_sets)| LaneBatch {
-                session,
-                sets: lane_sets,
-            })
-            .collect(); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        let attempt: Result<Vec<Vec<GateOutput>>, GateError> =
-            evaluate_fdm_batch_logic(&mut lane_batches).map(|lanes| {
-                lanes
-                    .into_iter()
-                    .map(|words| words.into_iter().map(GateOutput::logic_only).collect()) // analyze: allow(can-alloc) — per-pass output repack
-                    .collect() // analyze: allow(can-alloc) — per-pass output repack
-            });
-        drop(lane_batches);
-        for (&lead, session) in leads.iter().zip(sessions) {
-            if let Some(slot) = self.sessions.get_mut(lead) {
-                *slot = Some(session);
-            }
-        }
-        match attempt {
-            Ok(outputs) => {
-                self.stats.record_fdm_pass(lanes, total_requests);
-                for (lane_replies, lane_outputs) in replies.into_iter().zip(outputs) {
-                    self.note_lanes_served(
-                        lane_replies.iter().map(|(gate, _, _)| *gate),
-                        &mut stage.tally,
-                    );
-                    for ((_, tag, reply), output) in lane_replies.into_iter().zip(lane_outputs) {
-                        // ordering: Relaxed — monotonic stat counter;
-                        // the reply channel orders the result delivery.
-                        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                        let _ = reply.try_send((tag, Ok(output)));
-                    }
-                }
-            }
-            Err(_) => {
-                // The stacked pass failed as a whole (e.g. one lane
-                // carried a malformed operand); retry each request on
-                // its own gate so only the offenders see the error.
-                for (lane_replies, lane_sets) in replies.into_iter().zip(&sets) {
-                    for ((gate, tag, reply), set) in lane_replies.into_iter().zip(lane_sets) {
-                        let result = match self.session_for(gate) {
-                            Ok(session) => session.evaluate(set.words()),
-                            Err(e) => Err(e),
-                        };
-                        // ordering: Relaxed — monotonic stat counters;
-                        // the reply channel orders the result delivery.
-                        match &result {
-                            Ok(_) => {
-                                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                                self.telemetry
-                                    .record_lane_served(self.meta_of(gate).lane_slot, 1);
-                            }
-                            Err(_) => {
-                                // ordering: Relaxed — stat counter.
-                                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        };
-                        let _ = reply.try_send((tag, result));
-                    }
-                }
-            }
-        }
-        1
-    }
-
-    /// Accounts successfully answered requests on their lanes' `served`
-    /// telemetry counters. Success paths only — a request that failed
-    /// was not served, so the per-lane counters always sum to the
-    /// scheduler's `completed` total.
-    fn note_lanes_served(&self, gates: impl Iterator<Item = usize>, tally: &mut Vec<(usize, u64)>) {
-        tally.clear();
-        for gate in gates {
-            let slot = self.meta_of(gate).lane_slot;
-            if let Some(entry) = tally.iter_mut().find(|(s, _)| *s == slot) {
-                entry.1 += 1;
-            } else {
-                // analyze: allow(can-alloc) — amortized: the tally
-                // keeps its capacity across batches (see `GroupStage`).
-                tally.push((slot, 1));
-            }
-        }
-        for &(slot, count) in tally.iter() {
-            self.telemetry.record_lane_served(slot, count);
+    ) {
+        // Recorded before any reply goes out, so a client that sees
+        // its completion also sees the pass.
+        let requests = stacked.iter().map(Vec::len).sum::<usize>() as u64;
+        self.stats.record_fdm_pass(lanes, requests);
+        for group in stacked.drain(..) {
+            let spent = self.serve_group(group, stage);
+            // analyze: allow(can-alloc) — amortized: the pool grows to
+            // the drain's high-water group count.
+            pool.push(spent);
         }
     }
 
-    /// Serves one group (every job targets the same gate): one
-    /// `evaluate_batch` on that gate's session, with a per-request
-    /// fallback so errors land only on the requests that earned them.
-    /// Returns the emptied job vector so the caller can pool it for the
-    /// next drain.
-    fn serve_group(&mut self, mut group: Vec<EvalJob>, stage: &mut GroupStage) -> Vec<EvalJob> {
-        let Some(first) = group.first() else {
+    /// Serves one group (every job targets the same gate) with one
+    /// kernel pass over that gate's table. Returns the emptied job
+    /// vector so the caller can pool it for the next drain.
+    fn serve_group(&self, mut group: Vec<EvalJob>, stage: &mut GroupStage) -> Vec<EvalJob> {
+        let Some(gate) = group.first().and_then(|job| self.gates.get(job.gate)) else {
+            // Empty, or unreachable behind `serve_drain`'s index
+            // assert: dropped jobs answer their tickets with
+            // `ServeError::Shutdown`.
+            group.clear();
             return group;
         };
-        let lead = first.gate;
         // Move the operand sets out of the jobs — the batch path must
         // not copy request payloads. The staging buffers keep their
         // capacity from batch to batch (see `GroupStage`).
@@ -970,52 +731,18 @@ impl Worker {
             // capacity across batches (see `GroupStage`).
             stage.sets.push(job.set);
             // analyze: allow(can-alloc) — amortized (staging, as above)
-            stage.replies.push((job.gate, job.tag, job.reply));
+            stage.replies.push((job.tag, job.reply));
         }
-        let attempt: Result<Vec<GateOutput>, GateError> = match self.session_for(lead) {
-            Ok(session) => session
-                .evaluate_batch_logic(&stage.sets)
-                // analyze: allow(can-alloc) — per-batch output repack
-                .map(|words| words.into_iter().map(GateOutput::logic_only).collect()),
-            Err(e) => Err(e),
-        };
-        match attempt {
-            Ok(outputs) => {
-                self.note_lanes_served(
-                    stage.replies.iter().map(|(gate, _, _)| *gate),
-                    &mut stage.tally,
-                );
-                for ((_, tag, reply), output) in stage.replies.drain(..).zip(outputs) {
-                    // ordering: Relaxed — monotonic stat counter; the
-                    // reply channel orders the result delivery.
-                    self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply.try_send((tag, Ok(output)));
-                }
-            }
-            Err(_) => {
-                // The batch failed as a whole; fall back to per-request
-                // evaluation.
-                for ((gate, tag, reply), set) in stage.replies.drain(..).zip(stage.sets.iter()) {
-                    let result = match self.session_for(gate) {
-                        Ok(session) => session.evaluate(set.words()),
-                        Err(e) => Err(e),
-                    };
-                    // ordering: Relaxed — monotonic stat counters; the
-                    // reply channel orders the result delivery.
-                    match &result {
-                        Ok(_) => {
-                            self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                            self.telemetry
-                                .record_lane_served(self.meta_of(gate).lane_slot, 1);
-                        }
-                        Err(_) => {
-                            // ordering: Relaxed — stat counter.
-                            self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    };
-                    let _ = reply.try_send((tag, result));
-                }
-            }
+        let words = gate.table.sliced_words(&stage.sets);
+        // Accounted before the replies: a client that sees its
+        // completion also sees it served on its lane.
+        self.telemetry
+            .record_lane_served(gate.lane_slot, stage.replies.len() as u64);
+        for ((tag, reply), word) in stage.replies.drain(..).zip(words) {
+            // ordering: Relaxed — monotonic stat counter; the reply
+            // channel orders the result delivery.
+            self.stats.completed.fetch_add(1, Ordering::Relaxed);
+            let _ = reply.try_send((tag, Ok(GateOutput::logic_only(word))));
         }
         stage.sets.clear();
         group
@@ -1027,10 +754,6 @@ impl Worker {
 pub struct ShutdownReport {
     /// Final counter snapshot.
     pub stats: SchedulerStats,
-    /// LUT files written (empty without persistence).
-    pub lut_files: Vec<PathBuf>,
-    /// Total LUT entries persisted across those files.
-    pub lut_entries_saved: usize,
 }
 
 /// The running sharded runtime. See the [module docs](self) for the
@@ -1038,11 +761,10 @@ pub struct ShutdownReport {
 pub struct Scheduler {
     entries: Vec<GateEntry>,
     senders: Vec<SyncSender<EvalJob>>,
-    handles: Vec<JoinHandle<WorkerReport>>,
+    handles: Vec<JoinHandle<()>>,
     stats: Arc<SharedStats>,
     telemetry: Arc<Telemetry>,
     next_tag: AtomicU64,
-    config: ServeConfig,
 }
 
 impl Scheduler {
@@ -1079,19 +801,13 @@ impl Scheduler {
         self.entries.get(id.0).map(|e| e.shard)
     }
 
-    /// LUT entries adopted from disk at build time (0 without
-    /// persistence or on a cold start).
-    pub fn lut_entries_loaded(&self) -> usize {
-        self.entries.iter().map(|e| e.lut_loaded).sum()
-    }
-
     /// Current counter snapshot.
     pub fn stats(&self) -> SchedulerStats {
         self.stats.snapshot()
     }
 
     /// Current load-telemetry snapshot: per-shard queue depths, drain
-    /// counters, linger windows and LUT gauges, and per-lane placement
+    /// counters and linger windows, and per-lane placement
     /// and served counts.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.telemetry.snapshot()
@@ -1102,6 +818,8 @@ impl Scheduler {
             .entries
             .get(id.0)
             .ok_or(ServeError::UnknownGate { index: id.0 })?;
+        // A lookup in the drain cannot fail: malformed sets stop here.
+        entry.gate.check_inputs(set.words())?;
         let shard = entry.shard;
         // ordering: Relaxed — tags only need uniqueness; submission
         // order is established by the queue send, not the counter.
@@ -1125,6 +843,9 @@ impl Scheduler {
     /// # Errors
     ///
     /// * [`ServeError::UnknownGate`] for a foreign [`GateId`].
+    /// * [`ServeError::Gate`] wrapping [`GateError::InputCountMismatch`]
+    ///   or [`GateError::WordWidthMismatch`] when `set` does not fit the
+    ///   gate; nothing is queued.
     /// * [`ServeError::Shutdown`] when the runtime is gone.
     pub fn submit(&self, id: GateId, set: OperandSet) -> Result<Ticket, ServeError> {
         let (shard, job, ticket) = self.job_for(id, set)?;
@@ -1239,96 +960,40 @@ impl Scheduler {
         tickets.into_iter().map(Ticket::wait).collect()
     }
 
-    /// Stops accepting work, joins every worker and — with persistence
-    /// configured — merges all shards' LUTs per gate and writes them to
-    /// disk, so the next [`SchedulerBuilder::build`] starts warm.
+    /// Stops accepting work and joins every worker.
     ///
     /// Every worker is joined before any outcome is reported: a single
-    /// panicked shard must not detach the surviving workers or discard
-    /// their LUT snapshots. Survivors' LUTs are persisted first, then
-    /// the panic is reported through [`ServeError::WorkerPanicked`]
-    /// (carrying the salvaged report).
+    /// panicked shard must not detach the surviving workers.
     ///
     /// # Errors
     ///
-    /// * [`ServeError::WorkerPanicked`] when one or more workers
-    ///   panicked (after every survivor LUT was attempted; this takes
-    ///   precedence over persistence failures).
-    /// * [`ServeError::Gate`] wrapping [`GateError::Persistence`] when
-    ///   a LUT file could not be merged or written. Persistence is
-    ///   attempted for *every* gate before the first such error is
-    ///   reported — one full disk must not discard the other gates'
-    ///   tables.
+    /// [`ServeError::WorkerPanicked`] when one or more workers panicked
+    /// (carrying the report of the final counters).
     pub fn shutdown(mut self) -> Result<ShutdownReport, ServeError> {
         self.senders.clear();
-        let mut reports = Vec::new();
         let mut panicked = Vec::new();
         for (shard, handle) in std::mem::take(&mut self.handles).into_iter().enumerate() {
-            match handle.join() {
-                Ok(report) => reports.push(report),
-                Err(_) => panicked.push(shard),
-            }
-        }
-        let stats = self.stats.snapshot();
-        let mut lut_files = Vec::new();
-        let mut lut_entries_saved = 0;
-        let mut first_persist_error: Option<ServeError> = None;
-        if let Some(dir) = self.config.lut_dir.clone() {
-            'gates: for (idx, entry) in self.entries.iter().enumerate() {
-                let mut merged: Option<LutSnapshot> = None;
-                for report in &reports {
-                    for (gate_idx, snapshot) in &report.luts {
-                        if *gate_idx != idx {
-                            continue;
-                        }
-                        match &mut merged {
-                            None => merged = Some(snapshot.clone()),
-                            Some(m) => {
-                                if let Err(e) = m.merge(snapshot) {
-                                    first_persist_error.get_or_insert(ServeError::Gate(e));
-                                    continue 'gates;
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(snapshot) = merged {
-                    if snapshot.entry_count() > 0 {
-                        let path = lut_path(&dir, &entry.name);
-                        match save_lut(&path, &snapshot) {
-                            Ok(()) => {
-                                lut_entries_saved += snapshot.entry_count();
-                                lut_files.push(path);
-                            }
-                            Err(e) => {
-                                first_persist_error.get_or_insert(ServeError::Gate(e));
-                            }
-                        }
-                    }
-                }
+            if handle.join().is_err() {
+                panicked.push(shard);
             }
         }
         let report = ShutdownReport {
-            stats,
-            lut_files,
-            lut_entries_saved,
+            stats: self.stats.snapshot(),
         };
-        if !panicked.is_empty() {
+        if panicked.is_empty() {
+            Ok(report)
+        } else {
             Err(ServeError::WorkerPanicked {
                 shards: panicked,
                 report: Box::new(report),
             })
-        } else if let Some(error) = first_persist_error {
-            Err(error)
-        } else {
-            Ok(report)
         }
     }
 }
 
 impl Drop for Scheduler {
     /// Dropping without [`Scheduler::shutdown`] still joins the
-    /// workers, but skips LUT persistence.
+    /// workers.
     fn drop(&mut self) {
         self.senders.clear();
         for handle in std::mem::take(&mut self.handles) {
@@ -1384,22 +1049,21 @@ mod tests {
             .on_lane(LaneId(1))
             .build()
             .unwrap();
-        let sessions = [maj, xor]
-            .into_iter()
-            .map(|gate| Some(GateSession::new(gate, BackendChoice::Cached).unwrap()))
+        let gates: Vec<ServedGate> = [maj, xor]
+            .iter()
+            .zip(0u16..)
+            .map(|(gate, lane)| ServedGate {
+                lane_slot: usize::from(lane),
+                waveguide: WaveguideId(0),
+                lane: LaneId(lane),
+                table: GateTable::new(gate).unwrap(),
+            })
             .collect();
-        let meta = |lane: u16| GateMeta {
-            lane_slot: usize::from(lane),
-            waveguide: WaveguideId(0),
-            lane: LaneId(lane),
-            fdm_ok: true,
-        };
         let (tx, rx) = mpsc::sync_channel(queue_depth);
         let worker = Worker {
             shard: 0,
             rx,
-            sessions,
-            meta: Arc::new(vec![meta(0), meta(1)]),
+            gates: gates.into(),
             linger,
             max_batch,
             stats: Arc::new(SharedStats::default()),
@@ -1414,70 +1078,6 @@ mod tests {
             scratch: DrainScratch::default(),
         };
         (tx, worker)
-    }
-
-    #[test]
-    fn a_malformed_lane_request_fails_alone_when_the_stacked_pass_falls_back() {
-        // Both lanes of waveguide 0 stack into one FDM pass. One lane-1
-        // request carries a third operand for its 2-input gate, so the
-        // stacked validation rejects the whole pass and every request
-        // is retried on its own gate: only the offender may fail.
-        let (_tx, mut worker) = test_worker(64, 4, Duration::from_micros(50));
-        let (reply, completions) = mpsc::sync_channel(16);
-        let malformed = 9u64;
-        let mut pending = Vec::new();
-        for tag in 0..12u64 {
-            let gate = usize::from(tag >= 6);
-            let mut words = sample_set(tag).words().to_vec();
-            if gate == 1 && tag != malformed {
-                words.truncate(2);
-            }
-            pending.push(EvalJob {
-                gate,
-                tag,
-                set: OperandSet::new(words),
-                reply: reply.clone(),
-            });
-        }
-        let requests: Vec<(usize, OperandSet)> =
-            pending.iter().map(|j| (j.gate, j.set.clone())).collect();
-        drop(reply);
-        worker.serve_drain(&mut pending);
-        assert!(pending.is_empty());
-        let mut answered = 0;
-        for (tag, result) in completions.iter() {
-            let (gate, set) = &requests[tag as usize];
-            if tag == malformed {
-                assert!(
-                    matches!(result, Err(GateError::InputCountMismatch { .. })),
-                    "the malformed request must fail: {result:?}"
-                );
-            } else {
-                let reference = worker.sessions[*gate]
-                    .as_ref()
-                    .unwrap()
-                    .gate()
-                    .evaluate(set.words())
-                    .unwrap();
-                assert_eq!(result.unwrap().word(), reference.word(), "tag {tag}");
-            }
-            answered += 1;
-        }
-        assert_eq!(answered, 12, "every request gets exactly one answer");
-        let stats = worker.stats.snapshot();
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.completed, 11);
-        // One batch (the stacked attempt, not two per-lane groups) and
-        // no recorded FDM pass: the drain took the stack's `Err` branch.
-        assert_eq!(stats.batches, 1, "both lanes must ride one stacked attempt");
-        assert_eq!(stats.fdm_batches, 0, "a rejected stack is not an FDM pass");
-        let lanes = worker.telemetry.snapshot().lanes;
-        assert_eq!(
-            lanes.iter().map(|l| l.served).sum::<u64>(),
-            stats.completed,
-            "per-lane served counters must sum to completed: {lanes:?}"
-        );
-        assert_eq!((lanes[0].served, lanes[1].served), (6, 5));
     }
 
     #[test]
@@ -1523,8 +1123,7 @@ mod tests {
     #[test]
     fn run_serves_jobs_queued_before_the_last_sender_dropped() {
         // The whole worker loop: jobs buffered at spawn time with the
-        // sender already gone must all be answered and the session's
-        // LUT must survive into the worker report.
+        // sender already gone must all be answered.
         let (tx, worker) = test_worker(4, 16, Duration::from_micros(50));
         // Shared reply sender: one slot per answer (see above).
         let (reply, completions) = mpsc::sync_channel(16);
@@ -1539,20 +1138,13 @@ mod tests {
         }
         drop(tx);
         drop(reply);
-        let report = worker.run();
+        worker.run();
         let mut served = 0;
         for (_, result) in completions.iter() {
             result.expect("queued job dropped");
             served += 1;
         }
         assert_eq!(served, 7);
-        assert!(
-            report
-                .luts
-                .iter()
-                .any(|(idx, snap)| *idx == 0 && snap.entry_count() > 0),
-            "the cached session's LUT must reach the worker report"
-        );
     }
 
     #[test]
@@ -1595,17 +1187,13 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_joins_all_workers_and_persists_survivor_luts_on_panic() {
+    fn shutdown_joins_all_workers_when_one_panics() {
         // One poisoned worker must not detach the others: shutdown has
-        // to join every shard, write the survivors' LUTs, and only then
-        // report the panic. (The poisoned worker prints a panic message
-        // to stderr — expected noise for this test.)
-        let dir =
-            std::env::temp_dir().join(format!("magnon_panic_shutdown_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        // to join every shard and only then report the panic. (The
+        // poisoned worker prints a panic message to stderr — expected
+        // noise for this test.)
         let mut builder = SchedulerBuilder::new(ServeConfig {
             workers: 2,
-            lut_dir: Some(dir.clone()),
             ..ServeConfig::default()
         });
         let make = |wg: u64| {
@@ -1629,19 +1217,15 @@ mod tests {
             scheduler.shard_of(victim),
             "precondition: the gates must live on different shards"
         );
-        // Warm both shards' LUTs with real traffic.
-        scheduler
-            .submit(survivor, sample_set(1))
-            .unwrap()
-            .wait()
-            .unwrap();
-        scheduler
-            .submit(victim, sample_set(2))
-            .unwrap()
-            .wait()
-            .unwrap();
+        for (id, seed) in [(survivor, 1), (victim, 2)] {
+            scheduler
+                .submit(id, sample_set(seed))
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
         // Poison the victim's shard: a job whose gate index is out of
-        // range panics the worker when it indexes its session table.
+        // range trips the drain's corruption assert.
         let victim_shard = scheduler.shard_of(victim).unwrap();
         let (reply, _completions) = mpsc::sync_channel(1);
         scheduler.senders[victim_shard]
@@ -1655,23 +1239,10 @@ mod tests {
         match scheduler.shutdown() {
             Err(ServeError::WorkerPanicked { shards, report }) => {
                 assert_eq!(shards, vec![victim_shard]);
-                assert!(
-                    report.lut_entries_saved > 0,
-                    "survivor LUTs must persist: {report:?}"
-                );
-                assert!(
-                    report
-                        .lut_files
-                        .iter()
-                        .any(|p| p.file_name().is_some_and(|n| n == "maj_survivor.mglut")),
-                    "the surviving shard's LUT must reach disk: {report:?}"
-                );
+                assert_eq!(report.stats.completed, 2, "survivors' work is reported");
             }
             other => panic!("a panicked worker must surface as WorkerPanicked, got {other:?}"),
         }
-        // And the file on disk is a valid, loadable LUT.
-        load_lut(&dir.join("maj_survivor.mglut")).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Lock-free serving telemetry.
 //!
 //! Every hot-path touch point is a relaxed atomic: submitters bump their
-//! shard's queue gauge, workers publish drain sizes, LUT gauges and
-//! per-lane served counts. Nothing here takes a lock on the request
+//! shard's queue gauge, workers publish drain sizes and per-lane served
+//! counts. Nothing here takes a lock on the request
 //! path.
 //!
 //! [`Scheduler::telemetry`](crate::Scheduler::telemetry) exposes a
@@ -41,14 +41,6 @@ struct ShardCounters {
     /// (`full_drains / drain_cycles` ≈ how often backlog outruns the
     /// cap).
     full_drains: AtomicU64,
-    /// LUT lookups answered from memory, summed over the shard's live
-    /// cached sessions (a gauge the worker republishes after each
-    /// drain).
-    lut_hits: AtomicU64,
-    /// LUT entries computed on demand by those sessions.
-    lut_misses: AtomicU64,
-    /// Channel rows in the dense bit-sliced form across those sessions.
-    lut_dense_rows: AtomicU64,
 }
 
 /// Per-lane state: where one `(waveguide, lane)` channel is served and
@@ -159,26 +151,6 @@ impl Telemetry {
         }
     }
 
-    /// Publishes a shard's LUT effectiveness gauge: the sums of
-    /// hit/miss/dense-row counters over the shard's live cached
-    /// sessions. Stored, not accumulated — each session's counters are
-    /// already cumulative, and a gate's session stays on its shard for
-    /// the scheduler's lifetime, so the summed gauge never goes
-    /// backwards.
-    pub fn publish_lut(&self, shard: usize, hits: u64, misses: u64, dense_rows: u64) {
-        // `get`, not an index: workers republish on the drain path,
-        // which is proven panic-free.
-        let Some(counters) = self.shards.get(shard) else {
-            return;
-        };
-        // ordering: Relaxed — single-writer gauges republished by the
-        // shard's own worker after each drain; no reader synchronizes
-        // through them.
-        counters.lut_hits.store(hits, Ordering::Relaxed);
-        counters.lut_misses.store(misses, Ordering::Relaxed);
-        counters.lut_dense_rows.store(dense_rows, Ordering::Relaxed);
-    }
-
     /// Accounts `requests` successfully answered on lane `slot`
     /// (workers call this on success paths only, so the per-lane
     /// `served` counters sum to the scheduler's `completed` total).
@@ -205,11 +177,7 @@ impl Telemetry {
                     drain_cycles: s.drain_cycles.load(Ordering::Relaxed),
                     full_drains: s.full_drains.load(Ordering::Relaxed),
                     linger: self.linger,
-                    // ordering: Relaxed — same consistent-enough
-                    // snapshot contract as the counters above.
-                    lut_hits: s.lut_hits.load(Ordering::Relaxed),
-                    lut_misses: s.lut_misses.load(Ordering::Relaxed),
-                    lut_dense_rows: s.lut_dense_rows.load(Ordering::Relaxed),
+                    lut_misses: 0,
                 })
                 .collect(),
             lanes: self
@@ -246,17 +214,11 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Fraction of LUT lookups answered from memory across all shards
-    /// (1.0 when every lookup hit; `None` before any cached session
-    /// reported).
+    /// Always `Some(1.0)`: every gate is answered from a table built
+    /// whole at build time. Kept only because the `perfbench` benchmark
+    /// still reads it; it goes when that read does.
     pub fn lut_hit_rate(&self) -> Option<f64> {
-        let hits: u64 = self.shards.iter().map(|s| s.lut_hits).sum();
-        let misses: u64 = self.shards.iter().map(|s| s.lut_misses).sum();
-        if hits + misses == 0 {
-            None
-        } else {
-            Some(hits as f64 / (hits + misses) as f64)
-        }
+        Some(1.0)
     }
 }
 
@@ -273,14 +235,10 @@ pub struct ShardTelemetry {
     pub full_drains: u64,
     /// The worker's fixed linger window ([`crate::ServeConfig::linger`]).
     pub linger: Duration,
-    /// LUT lookups answered from memory, summed over the shard's live
-    /// cached sessions (republished after every drain).
-    pub lut_hits: u64,
-    /// LUT entries computed on demand by those sessions.
+    /// Always 0: every table is built whole before serving. Kept only
+    /// because the `perfbench` benchmark still reads it; it goes when
+    /// that read does.
     pub lut_misses: u64,
-    /// Channel rows flattened to the dense bit-sliced form across those
-    /// sessions — `n · live cached sessions` once fully warm.
-    pub lut_dense_rows: u64,
 }
 
 /// One frequency lane's routing state inside a [`TelemetrySnapshot`].
@@ -394,21 +352,6 @@ mod tests {
         assert_eq!(snap.lanes[0].served, 3);
         assert_eq!(snap.lanes[1].served, 2);
         assert_eq!(snap.lanes[0].id, snap.lanes[1].id, "one waveguide");
-    }
-
-    #[test]
-    fn lut_gauges_are_republished_not_accumulated() {
-        let telemetry = Telemetry::new(2, Duration::ZERO, vec![(WaveguideId(0), LaneId(0), 0)]);
-        assert_eq!(telemetry.snapshot().lut_hit_rate(), None);
-        telemetry.publish_lut(0, 96, 32, 8);
-        telemetry.publish_lut(0, 224, 32, 8); // next drain republishes the new sums
-        telemetry.publish_lut(1, 64, 0, 8);
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.shards[0].lut_hits, 224);
-        assert_eq!(snap.shards[0].lut_misses, 32);
-        assert_eq!(snap.shards[0].lut_dense_rows, 8);
-        assert_eq!(snap.shards[1].lut_hits, 64);
-        assert_eq!(snap.lut_hit_rate(), Some(288.0 / 320.0));
     }
 
     #[test]

@@ -56,8 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One batched call per backend; results must be identical.
     for choice in [BackendChoice::Analytic, BackendChoice::Cached] {
         let mut session = gate.session(choice)?;
-        // Warm once so the cached backend's LUT misses are not timed.
-        session.evaluate_batch(&sets[..1])?;
         let start = Instant::now();
         let outputs = session.evaluate_batch(&sets)?;
         let elapsed = start.elapsed();

@@ -115,7 +115,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_batch: 256,
         linger: Duration::from_micros(100),
         queue_depth: 1024,
-        lut_dir: None,
     });
     let adder_gates = register_compiled(
         &mut builder,

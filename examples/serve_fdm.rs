@@ -58,7 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_batch: 256,
         linger: Duration::from_micros(150),
         queue_depth: 1024,
-        lut_dir: None,
     });
     let gates = register_compiled(
         &mut builder,

@@ -135,7 +135,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_batch: 256,
         linger: Duration::from_micros(100),
         queue_depth: 1024,
-        lut_dir: None,
     });
     for wg in [0u64, 1] {
         builder.register_circuit_gates(

@@ -1,12 +1,9 @@
-//! End-to-end serving pipeline: persisted LUTs, two shards, and a mixed
-//! stream of compiled adder and parity-tree runs plus raw gate requests
-//! through one scheduler.
-//!
-//! Run twice to see the warm restart:
+//! End-to-end serving pipeline: two shards, and a mixed stream of
+//! compiled adder and parity-tree runs plus raw gate requests through
+//! one scheduler that answers every gate from its truth table.
 //!
 //! ```text
 //! cargo run --release --example serve_pipeline
-//! cargo run --release --example serve_pipeline   # starts warm from disk
 //! ```
 
 use spinwave_parallel::circuits::adder::{
@@ -33,13 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let adder_plan = compile(adder.circuit(), &guide, &config)?;
     let parity_plan = compile(parity.circuit(), &guide, &config)?;
 
-    let lut_dir = std::path::PathBuf::from("results/luts");
     let mut builder = SchedulerBuilder::new(ServeConfig {
         workers: 2,
         max_batch: 256,
         linger: Duration::from_micros(100),
         queue_depth: 1024,
-        lut_dir: Some(lut_dir.clone()),
     });
     // Disjoint waveguide-id blocks: the adder's slots from waveguide 0,
     // the parity tree's directly above them. Each waveguide lands on
@@ -60,13 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         parity_first,
         BackendChoice::Cached,
     )?;
+    let built = Instant::now();
     let scheduler = builder.build()?;
     println!(
-        "scheduler up: {} gates on {} shards, {} LUT entries loaded from {}",
+        "scheduler up: {} gates on {} shards, truth tables built in {:?}",
         scheduler.gate_count(),
         scheduler.worker_count(),
-        scheduler.lut_entries_loaded(),
-        lut_dir.display(),
+        built.elapsed(),
     );
     // Raw traffic targets the first slot of each plan.
     let (maj3, xor2) = adder_gates.slots()[0];
@@ -81,11 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .unwrap_or_default(),
             scheduler.shard_of(id).unwrap_or(usize::MAX),
         );
-    }
-    if scheduler.lut_entries_loaded() > 0 {
-        println!("warm restart: serving begins without recomputing any channel readout");
-    } else {
-        println!("cold start: LUTs fill on demand and persist at shutdown");
     }
 
     let mut adder_exec = CircuitExecutor::new(&scheduler, &adder_plan, &adder_gates)?;
@@ -193,13 +183,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let report = scheduler.shutdown()?;
-    println!(
-        "shutdown: persisted {} LUT entries into {} file(s)",
-        report.lut_entries_saved,
-        report.lut_files.len(),
-    );
-    for path in &report.lut_files {
-        println!("  {}", path.display());
-    }
+    println!("shutdown: {} requests completed", report.stats.completed);
     Ok(())
 }

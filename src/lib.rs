@@ -21,8 +21,8 @@
 //! * [`circuits`] — word-level circuits (full adders, parity trees)
 //!   composed from data-parallel gates, evaluable on any backend,
 //! * [`serve`] — the sharded serving runtime: a waveguide-aware
-//!   scheduler that coalesces requests within and across gates, with
-//!   on-disk LUT persistence for warm restarts,
+//!   scheduler that coalesces requests within and across gates and
+//!   answers every gate from one truth table built at registration,
 //! * [`net`] — the TCP front-end over the scheduler: a versioned
 //!   checksummed binary wire protocol, a threaded server, and a
 //!   blocking pipelined client, so remote request streams join the
@@ -66,8 +66,8 @@
 //! through the chosen [`core::backend::SpinWaveBackend`] —
 //!
 //! * [`BackendChoice::Analytic`] — exact wave superposition,
-//! * [`BackendChoice::Cached`] — memoized per-channel truth-table LUT
-//!   for hot-path serving,
+//! * [`BackendChoice::Cached`] — the gate's per-channel truth table,
+//!   built once, answered by a bit-sliced kernel,
 //! * [`BackendChoice::Micromag`] — the full LLG simulator behind the
 //!   same interface (the paper's OOMMF methodology).
 //!
@@ -111,8 +111,9 @@
 //! shard, fixed at build time; requests queue on bounded per-shard
 //! channels and coalesce under a batch-size/linger policy (within a
 //! gate *and* across gates sharing a [`core::gate::WaveguideId`], whose
-//! frequency lanes stack into one FDM pass); cached truth-table LUTs
-//! persist across restarts.
+//! frequency lanes stack into one FDM pass); every worker answers from
+//! the same per-gate truth tables, built once at
+//! [`serve::SchedulerBuilder::build`].
 //!
 //! Whole circuits are served one way: compile the netlist to a
 //! scheduler-ready plan with [`compiler::compile`] (ASAP wavefronts,

@@ -22,7 +22,6 @@ fn quick_config(workers: usize) -> ServeConfig {
         max_batch: 64,
         linger: Duration::from_micros(50),
         queue_depth: 256,
-        lut_dir: None,
     }
 }
 

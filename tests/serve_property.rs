@@ -1,19 +1,15 @@
 //! Integration and property tests for the sharded serving runtime:
 //! scheduler output must equal sequential evaluation for randomized
-//! interleaved multi-gate request streams, and the persisted LUT format
-//! must round-trip (and reject corruption) through a full
-//! shutdown→restart cycle.
+//! interleaved multi-gate request streams.
 
 use proptest::prelude::*;
 use spinwave_parallel::core::backend::{BackendChoice, OperandSet};
-use spinwave_parallel::core::lut_store::{load_lut, LutSnapshot};
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::core::truth::LogicFunction;
 use spinwave_parallel::physics::waveguide::Waveguide;
 use spinwave_parallel::serve::{
-    register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig, ServeError, Ticket,
+    register_compiled, CircuitExecutor, SchedulerBuilder, ServeConfig, Ticket,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 fn quick_config(workers: usize) -> ServeConfig {
@@ -22,7 +18,6 @@ fn quick_config(workers: usize) -> ServeConfig {
         max_batch: 64,
         linger: Duration::from_micros(50),
         queue_depth: 256,
-        lut_dir: None,
     }
 }
 
@@ -70,20 +65,6 @@ fn request_from_seed(gates: &[ParallelGate], seed: u64) -> (usize, OperandSet) {
         })
         .collect();
     (which, OperandSet::new(words))
-}
-
-/// A directory unique to this test invocation under the system temp
-/// dir.
-fn scratch_dir(label: &str) -> std::path::PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "magnon_serve_test_{}_{label}_{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 proptest! {
@@ -179,7 +160,6 @@ proptest! {
             max_batch: 32,
             linger: Duration::from_micros(50),
             queue_depth: 512,
-            lut_dir: None,
         });
         let ids: Vec<_> = gates
             .iter()
@@ -417,172 +397,4 @@ proptest! {
         prop_assert_eq!(served, adder.add_many(&a, &b).unwrap());
         scheduler.shutdown().unwrap();
     }
-}
-
-#[test]
-fn shutdown_then_restart_roundtrips_the_lut() {
-    let dir = scratch_dir("roundtrip");
-    let gate = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
-        .channels(8)
-        .inputs(3)
-        .build()
-        .unwrap();
-    let sets: Vec<OperandSet> = (0..24u64)
-        .map(|i| request_from_seed(std::slice::from_ref(&gate), i * 3).1)
-        .collect();
-
-    // Cold run: serve, then persist at shutdown.
-    let mut builder = SchedulerBuilder::new(ServeConfig {
-        lut_dir: Some(dir.clone()),
-        ..quick_config(2)
-    });
-    let id = builder
-        .register("maj3", gate.clone(), BackendChoice::Cached)
-        .unwrap();
-    let scheduler = builder.build().unwrap();
-    assert_eq!(scheduler.lut_entries_loaded(), 0, "cold start");
-    let requests: Vec<_> = sets.iter().map(|s| (id, s.clone())).collect();
-    let cold_outputs = scheduler.evaluate_many(&requests).unwrap();
-    let report = scheduler.shutdown().unwrap();
-    assert_eq!(report.lut_files.len(), 1);
-    assert!(report.lut_entries_saved > 0);
-
-    // The file on disk is a valid snapshot for this gate.
-    let snapshot = load_lut(&report.lut_files[0]).unwrap();
-    assert!(snapshot.matches_gate(&gate).is_ok());
-    assert_eq!(snapshot.entry_count(), report.lut_entries_saved);
-
-    // Warm restart: entries load, outputs are identical.
-    let mut builder = SchedulerBuilder::new(ServeConfig {
-        lut_dir: Some(dir.clone()),
-        ..quick_config(2)
-    });
-    let id = builder
-        .register("maj3", gate.clone(), BackendChoice::Cached)
-        .unwrap();
-    let scheduler = builder.build().unwrap();
-    assert_eq!(
-        scheduler.lut_entries_loaded(),
-        report.lut_entries_saved,
-        "warm restart adopts every persisted entry"
-    );
-    let requests: Vec<_> = sets.iter().map(|s| (id, s.clone())).collect();
-    let warm_outputs = scheduler.evaluate_many(&requests).unwrap();
-    for (cold, warm) in cold_outputs.iter().zip(&warm_outputs) {
-        assert_eq!(cold.word(), warm.word());
-    }
-    scheduler.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupted_or_mismatched_lut_files_are_rejected_at_build() {
-    let dir = scratch_dir("corrupt");
-    let gate = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
-        .channels(8)
-        .inputs(3)
-        .build()
-        .unwrap();
-
-    // Produce a valid file first.
-    let mut builder = SchedulerBuilder::new(ServeConfig {
-        lut_dir: Some(dir.clone()),
-        ..quick_config(1)
-    });
-    let id = builder
-        .register("maj3", gate.clone(), BackendChoice::Cached)
-        .unwrap();
-    let scheduler = builder.build().unwrap();
-    scheduler
-        .submit(
-            id,
-            OperandSet::new(vec![
-                Word::from_u8(0x0F),
-                Word::from_u8(0x33),
-                Word::from_u8(0x55),
-            ]),
-        )
-        .unwrap()
-        .wait()
-        .unwrap();
-    let report = scheduler.shutdown().unwrap();
-    let path = report.lut_files[0].clone();
-    let good = std::fs::read(&path).unwrap();
-
-    let rebuild = |dir: std::path::PathBuf, gate: ParallelGate| {
-        let mut builder = SchedulerBuilder::new(ServeConfig {
-            lut_dir: Some(dir),
-            ..quick_config(1)
-        });
-        builder
-            .register("maj3", gate, BackendChoice::Cached)
-            .unwrap();
-        builder.build()
-    };
-
-    // Corrupted payload byte → checksum failure at build.
-    let mut corrupt = good.clone();
-    corrupt[18] ^= 0xA5;
-    std::fs::write(&path, &corrupt).unwrap();
-    assert!(matches!(
-        rebuild(dir.clone(), gate.clone()),
-        Err(ServeError::Gate(GateError::Persistence { .. }))
-    ));
-
-    // Wrong version → rejected with a version message.
-    let mut wrong_version = good.clone();
-    wrong_version[4] = 0xFE;
-    std::fs::write(&path, &wrong_version).unwrap();
-    match rebuild(dir.clone(), gate.clone()) {
-        Err(ServeError::Gate(GateError::Persistence { reason })) => {
-            assert!(reason.contains("version"), "got: {reason}")
-        }
-        other => panic!("expected a version rejection, got {other:?}"),
-    }
-
-    // Truncated file → rejected.
-    std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-    assert!(rebuild(dir.clone(), gate.clone()).is_err());
-
-    // A valid file for a DIFFERENT gate design → fingerprint rejection.
-    std::fs::write(&path, &good).unwrap();
-    let narrower = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
-        .channels(4)
-        .inputs(3)
-        .build()
-        .unwrap();
-    assert!(matches!(
-        rebuild(dir.clone(), narrower),
-        Err(ServeError::Gate(GateError::Persistence { .. }))
-    ));
-
-    // The original pairing still builds after restoring the file.
-    let scheduler = rebuild(dir.clone(), gate).unwrap();
-    assert!(scheduler.lut_entries_loaded() > 0);
-    scheduler.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn snapshot_decode_matches_module_docs() {
-    // The file is self-describing: decode without knowing the gate.
-    let gate = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
-        .channels(4)
-        .inputs(2)
-        .function(LogicFunction::Xor)
-        .build()
-        .unwrap();
-    let mut session = gate.session(BackendChoice::Cached).unwrap();
-    session
-        .evaluate(&[
-            Word::from_bits(0b0011, 4).unwrap(),
-            Word::from_bits(0b0101, 4).unwrap(),
-        ])
-        .unwrap();
-    let snapshot = session.lut_snapshot().unwrap();
-    let decoded = LutSnapshot::decode(&snapshot.encode()).unwrap();
-    assert_eq!(decoded.function(), LogicFunction::Xor);
-    assert_eq!(decoded.input_count(), 2);
-    assert_eq!(decoded.word_width(), 4);
-    assert_eq!(decoded.entry_count(), snapshot.entry_count());
 }
