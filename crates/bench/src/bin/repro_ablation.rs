@@ -2,72 +2,40 @@
 //!
 //! 1. **Amplitude equalisation** (paper §V): error rates with the
 //!    damping-compensating schedule vs a flat schedule as gates grow.
-//! 2. **Interleave-floor slack**: how the +1-pitch slack in the
-//!    distance solver affects gate span (area cost of solvability).
+//! 2. **Noise margin**: Monte-Carlo phase-noise sweep on the byte gate
+//!    (transducer-jitter tolerance of the majority vote).
 //! 3. **Window choice**: spectral isolation of the Fig. 3 analysis
 //!    under rectangular vs Hann vs Blackman windows.
-//! 4. **Noise margin**: Monte-Carlo phase-noise sweep on the byte gate
-//!    (transducer-jitter tolerance of the majority vote).
+//!
+//! The verdict is the [`magnon_bench::claims::ablation`] report's.
 //!
 //! Usage: `cargo run --release -p magnon-bench --bin repro_ablation`
 
-use magnon_bench::{fmt_sci, results_dir, write_csv};
-use magnon_core::gate::ParallelGateBuilder;
-use magnon_core::robustness::{phase_noise_sweep, NoiseModel};
-use magnon_core::truth::LogicFunction;
-use magnon_math::constants::GHZ;
-use magnon_math::spectrum::TimeSeries;
-use magnon_math::window::Window;
+use magnon_bench::claims::ablation;
+use magnon_bench::{fmt_sci, verdict, write_csv};
 use magnon_physics::waveguide::Waveguide;
 use std::error::Error;
-use std::f64::consts::PI;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let guide = Waveguide::paper_default()?;
+    let report = ablation(&Waveguide::paper_default()?)?;
+    let mark = |pass: bool| if pass { "PASS" } else { "FAIL" };
     let mut rows: Vec<Vec<String>> = Vec::new();
 
-    // 1. Equalisation ablation across gate sizes.
     println!("ABLATION 1: amplitude equalisation (truth-table verdict, equalised vs flat)");
     println!("{:>9} {:>12} {:>12}", "channels", "equalised", "flat");
-    for n in [4usize, 8, 12, 16] {
-        let mut verdicts = Vec::new();
-        for equalize in [true, false] {
-            let gate = ParallelGateBuilder::new(guide)
-                .channels(n)
-                .inputs(3)
-                .function(LogicFunction::Majority)
-                .frequency_step(5.0 * GHZ)
-                .equalize_amplitudes(equalize)
-                .build()?;
-            verdicts.push(gate.verify_truth_table()?.all_passed());
-        }
-        println!(
-            "{:>9} {:>12} {:>12}",
-            n,
-            if verdicts[0] { "PASS" } else { "FAIL" },
-            if verdicts[1] { "PASS" } else { "FAIL" }
-        );
+    for &(channels, equalised, flat) in &report.equalisation {
+        println!("{channels:>9} {:>12} {:>12}", mark(equalised), mark(flat));
         rows.push(vec![
             "equalisation".into(),
-            n.to_string(),
-            verdicts[0].to_string(),
-            verdicts[1].to_string(),
+            channels.to_string(),
+            equalised.to_string(),
+            flat.to_string(),
         ]);
     }
 
-    // 2. Noise-margin sweep (phase jitter on every source).
     println!("\nABLATION 2: phase-noise margin of the byte-wide majority gate");
     println!("{:>12} {:>12}", "sigma(rad)", "error rate");
-    let gate = ParallelGateBuilder::new(guide)
-        .channels(8)
-        .inputs(3)
-        .function(LogicFunction::Majority)
-        .build()?;
-    let sigmas = [0.0, 0.2, 0.4, 0.6, 0.9, 1.2, 1.6, 2.0];
-    let reports = phase_noise_sweep(&gate, &sigmas, 200, 99)?;
-    let mut previous = -1.0;
-    let mut monotone = true;
-    for r in &reports {
+    for r in &report.phase_noise {
         println!("{:>12.2} {:>12.4}", r.noise.phase_sigma, r.error_rate());
         rows.push(vec![
             "phase_noise".into(),
@@ -75,83 +43,35 @@ fn main() -> Result<(), Box<dyn Error>> {
             fmt_sci(r.error_rate()),
             String::new(),
         ]);
-        if r.error_rate() + 0.03 < previous {
-            monotone = false;
-        }
-        previous = r.error_rate();
     }
-    // Sanity: noiseless is perfect, and σ=π/2-class noise causes errors.
-    let clean = reports[0].error_rate() == 0.0;
-    let degrades = reports
-        .last()
-        .map(|r| r.error_rate() > 0.05)
-        .unwrap_or(false);
-
-    // And a confirmation that mild amplitude noise is harmless.
-    let amp_report =
-        magnon_core::robustness::monte_carlo_error_rate(&gate, NoiseModel::new(0.0, 0.1)?, 200, 7)?;
     println!(
         "10% amplitude jitter alone: error rate {:.4} (majority decodes on phase)",
-        amp_report.error_rate()
+        report.amplitude_jitter.error_rate()
     );
 
-    // 3. Window ablation on an ideal 8-tone detector record.
     println!("\nABLATION 3: spectral window vs inter-channel isolation (ideal 8-tone record)");
-    let dt = 1.0e-12;
-    let freqs: Vec<f64> = (1..=8).map(|i| i as f64 * 10.0 * GHZ).collect();
-    // Record length deliberately NOT an integer number of periods for
-    // every tone — that is when windows matter.
-    let samples: Vec<f64> = (0..10_000)
-        .map(|i| {
-            let t = i as f64 * dt;
-            freqs.iter().map(|&f| (2.0 * PI * f * t).sin()).sum()
-        })
-        .collect();
-    let record = TimeSeries::new(dt, samples)?;
     println!("{:>14} {:>15}", "window", "isolation (dB)");
-    let mut hann_isolation = 0.0;
-    let mut rect_isolation = 0.0;
-    for (window, label) in [
-        (Window::Rectangular, "rectangular"),
-        (Window::Hann, "hann"),
-        (Window::Blackman, "blackman"),
-    ] {
-        let spectrum = record.spectrum(window)?;
-        let report =
-            magnon_core::crosstalk::CrosstalkReport::analyze(&spectrum, &freqs, 2.0 * GHZ)?;
-        println!("{label:>14} {:>15.1}", report.isolation_db);
+    for (window, isolation_db) in &report.isolation_db {
+        let label = format!("{window:?}").to_lowercase();
+        println!("{label:>14} {isolation_db:>15.1}");
         rows.push(vec![
             "window".into(),
-            label.into(),
-            fmt_sci(report.isolation_db),
+            label,
+            fmt_sci(*isolation_db),
             String::new(),
         ]);
-        match window {
-            Window::Hann => hann_isolation = report.isolation_db,
-            Window::Rectangular => rect_isolation = report.isolation_db,
-            _ => {}
-        }
     }
 
-    let dir = results_dir();
     write_csv(
-        &dir.join("ablation.csv"),
+        "ablation.csv",
         &["study", "parameter", "value_a", "value_b"],
         &rows,
     )?;
-    println!("\nwrote {}/ablation.csv", dir.display());
 
-    let ok = clean && degrades && monotone && hann_isolation > rect_isolation;
-    println!(
-        "ABLATION {}",
-        if ok {
-            "PASS: equalisation keeps large gates correct, noise margin is wide and monotone, Hann beats rectangular on leakage"
-        } else {
-            "FAIL"
-        }
+    verdict(
+        "ABLATION",
+        report.passed(),
+        "equalisation keeps large gates correct, noise margin is wide and monotone, Hann beats rectangular on leakage",
     );
-    if !ok {
-        std::process::exit(1);
-    }
     Ok(())
 }

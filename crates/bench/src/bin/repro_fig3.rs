@@ -4,20 +4,21 @@
 //!
 //! Prints, per combination: the decoded output word, the expected
 //! majority value, per-channel tone amplitudes, and the spectral
-//! isolation (peaks only at the excitation frequencies). Writes
-//! `results/fig3_spectrum.csv` and `results/fig3_time.csv`.
+//! isolation (peaks only at the excitation frequencies). The verdict is
+//! the [`magnon_bench::claims::micromag_majority_sweep`] report's.
+//! Writes `results/fig3_spectrum.csv` and `results/fig3_time.csv`.
 //!
 //! Usage: `cargo run --release -p magnon-bench --bin repro_fig3`
 //! (set `REPRO_FAST=1` for a reduced 3-channel smoke run).
 
-use magnon_bench::{combo_words, experiment_gate, fast_mode, fmt_sci, results_dir, write_csv};
+use magnon_bench::claims::micromag_majority_sweep;
+use magnon_bench::{experiment, fmt_sci, verdict, write_csv};
 use magnon_core::crosstalk::CrosstalkReport;
-use magnon_core::micromag_bridge::{MicromagValidator, ValidationSettings};
 use magnon_math::window::Window;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let gate = experiment_gate()?;
+    let (gate, settings) = experiment()?;
     let n = gate.word_width();
     let m = gate.input_count();
     let freqs = gate.channel_plan().frequencies();
@@ -34,33 +35,17 @@ fn main() -> Result<(), Box<dyn Error>> {
         gate.layout().sources().len(),
         gate.layout().detectors().len(),
     );
-    let settings = if fast_mode() {
-        ValidationSettings {
-            duration: Some(2.0e-9),
-            ..ValidationSettings::default()
-        }
-    } else {
-        ValidationSettings::default()
-    };
-    let mut validator = MicromagValidator::with_settings(&gate, settings);
+    let sweep = micromag_majority_sweep(&gate, settings)?;
 
     let mut spectrum_rows: Vec<Vec<String>> = Vec::new();
     let mut time_rows: Vec<Vec<String>> = Vec::new();
-    let mut all_pass = true;
     let mut worst_isolation = f64::INFINITY;
 
     println!(
         "\n{:<10} {:>9} {:>10} {:>14}  per-channel decoded bits",
         "combo", "expected", "decoded", "isolation(dB)"
     );
-    for combo in 0..(1usize << m) {
-        let words = combo_words(combo, m, n)?;
-        let reading = validator.evaluate(&words)?;
-        let expected = (combo.count_ones() as usize) * 2 > m;
-        let expected_word = if expected { (1u64 << n) - 1 } else { 0 };
-        let pass = reading.word.bits() == expected_word;
-        all_pass &= pass;
-
+    for (combo, reading) in sweep.readings.iter().enumerate() {
         // Spectrum at the last detector (all channels pass it).
         let trace = reading.series.last().expect("at least one detector");
         let steady = trace.after(trace.duration() * 0.5)?;
@@ -71,10 +56,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!(
             "{:<10} {:>9} {:>10} {:>14.1}  {}",
             format!("{combo:0m$b}"),
-            expected as u8,
+            sweep.expected[combo] as u8,
             format!("{}", reading.word),
             report.isolation_db,
-            if pass { "PASS" } else { "FAIL" },
+            if sweep.combo_passed(combo) {
+                "PASS"
+            } else {
+                "FAIL"
+            },
         );
 
         for (k, &a) in spectrum.amplitudes().iter().enumerate() {
@@ -93,32 +82,21 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let dir = results_dir();
     write_csv(
-        &dir.join("fig3_spectrum.csv"),
+        "fig3_spectrum.csv",
         &["combo", "frequency_hz", "amplitude"],
         &spectrum_rows,
     )?;
     write_csv(
-        &dir.join("fig3_time.csv"),
+        "fig3_time.csv",
         &["combo", "time_s", "mx_over_ms"],
         &time_rows,
     )?;
     println!("\nworst inter-channel isolation: {worst_isolation:.1} dB (paper: no visible off-channel peaks)");
-    println!(
-        "wrote {}/fig3_spectrum.csv and fig3_time.csv",
-        dir.display()
+    verdict(
+        "FIG3",
+        sweep.passed(),
+        "all combinations decoded correctly on every channel",
     );
-    println!(
-        "FIG3 {}",
-        if all_pass {
-            "PASS: all combinations decoded correctly on every channel"
-        } else {
-            "FAIL"
-        }
-    );
-    if !all_pass {
-        std::process::exit(1);
-    }
     Ok(())
 }

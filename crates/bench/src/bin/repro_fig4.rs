@@ -4,18 +4,19 @@
 //!
 //! Each channel's detector trace is band-pass reconstructed around its
 //! carrier (the paper's Matlab post-processing). The decoded phase
-//! flips by π exactly when the majority of the three inputs is 1.
-//! Writes `results/fig4_outputs.csv` with decimated traces.
+//! flips by π exactly when the majority of the three inputs is 1; the
+//! verdict is the [`magnon_bench::claims::micromag_majority_sweep`]
+//! report's. Writes `results/fig4_outputs.csv` with decimated traces.
 //!
 //! Usage: `cargo run --release -p magnon-bench --bin repro_fig4`
 //! (set `REPRO_FAST=1` for a reduced 3-channel smoke run).
 
-use magnon_bench::{combo_words, experiment_gate, fast_mode, fmt_sci, results_dir, write_csv};
-use magnon_core::micromag_bridge::{MicromagValidator, ValidationSettings};
+use magnon_bench::claims::micromag_majority_sweep;
+use magnon_bench::{experiment, fmt_sci, verdict, write_csv};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let gate = experiment_gate()?;
+    let (gate, settings) = experiment()?;
     let n = gate.word_width();
     let m = gate.input_count();
     let freqs = gate.channel_plan().frequencies();
@@ -24,31 +25,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         "FIG4: per-channel output traces of the {}-channel majority gate",
         n
     );
-    let settings = if fast_mode() {
-        ValidationSettings {
-            duration: Some(2.0e-9),
-            ..ValidationSettings::default()
-        }
-    } else {
-        ValidationSettings::default()
-    };
-    let mut validator = MicromagValidator::with_settings(&gate, settings);
+    let sweep = micromag_majority_sweep(&gate, settings)?;
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut all_pass = true;
-
     println!(
         "\n{:<8} {:<10} {:>12} {:>12} {:>9} {:>9}",
         "channel", "combo", "amplitude", "phase(rad)", "decoded", "expected"
     );
-    for combo in 0..(1usize << m) {
-        let words = combo_words(combo, m, n)?;
-        let reading = validator.evaluate(&words)?;
-        let expected = (combo.count_ones() as usize) * 2 > m;
+    for (combo, reading) in sweep.readings.iter().enumerate() {
         for (c, &freq) in freqs.iter().enumerate().take(n) {
-            let decoded = reading.word.bit(c)?;
-            let pass = decoded == expected;
-            all_pass &= pass;
             println!(
                 "f{}={:>2}GHz {:<10} {:>12.4e} {:>12.3} {:>9} {:>9}{}",
                 c + 1,
@@ -56,13 +41,16 @@ fn main() -> Result<(), Box<dyn Error>> {
                 format!("{combo:0m$b}"),
                 reading.amplitudes[c],
                 reading.phase_deltas[c],
-                decoded as u8,
-                expected as u8,
-                if pass { "" } else { "  << FAIL" },
+                reading.word.bit(c)? as u8,
+                sweep.expected[combo] as u8,
+                if sweep.channel_passed(combo, c) {
+                    ""
+                } else {
+                    "  << FAIL"
+                },
             );
             // Band-pass reconstructed per-channel trace (Fig. 4 panels).
-            let trace = &reading.series[c];
-            let band = trace.band_pass(freqs[c], 4.0e9)?;
+            let band = reading.series[c].band_pass(freq, 4.0e9)?;
             for (i, &v) in band.samples().iter().enumerate().step_by(16) {
                 rows.push(vec![
                     c.to_string(),
@@ -74,23 +62,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let dir = results_dir();
     write_csv(
-        &dir.join("fig4_outputs.csv"),
+        "fig4_outputs.csv",
         &["channel", "combo", "time_s", "mx_over_ms_bandpassed"],
         &rows,
     )?;
-    println!("\nwrote {}/fig4_outputs.csv", dir.display());
-    println!(
-        "FIG4 {}",
-        if all_pass {
-            "PASS: every channel's phase flips exactly when >=2 inputs are 1"
-        } else {
-            "FAIL"
-        }
+    verdict(
+        "FIG4",
+        sweep.passed(),
+        "every channel's phase flips exactly when >=2 inputs are 1",
     );
-    if !all_pass {
-        std::process::exit(1);
-    }
     Ok(())
 }

@@ -4,18 +4,19 @@
 //! The paper reports 0.116 µm² (scalar ×8) vs 0.0279 µm² (parallel):
 //! a 4.16x area reduction at equal delay and energy. Absolute areas
 //! depend on the dispersion model (see DESIGN.md §2); the ratio and the
-//! delay/energy parity are the reproduction targets.
+//! delay/energy parity are the reproduction targets (the
+//! [`magnon_bench::claims::table_comparison`] report).
 //!
 //! Usage: `cargo run --release -p magnon-bench --bin repro_table_comparison`
 
-use magnon_bench::{byte_majority_gate, fmt_sci, results_dir, write_csv};
-use magnon_cost::{CostModel, Transducer};
+use magnon_bench::claims::table_comparison;
+use magnon_bench::{fmt_sci, paper_majority_gate, verdict, write_csv};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let gate = byte_majority_gate()?;
-    let model = CostModel::new(Transducer::paper_default());
-    let cmp = model.compare(&gate)?;
+    let gate = paper_majority_gate(8)?;
+    let report = table_comparison(&gate)?;
+    let cmp = report.comparison;
 
     println!("TAB-AREA: 8-bit 3-input majority — implementation comparison");
     println!(
@@ -28,39 +29,30 @@ fn main() -> Result<(), Box<dyn Error>> {
     let spacings: Vec<String> = d.iter().map(|x| format!("{:.0}", x * 1e9)).collect();
     println!("  [{}]", spacings.join(", "));
 
-    let rows = vec![
-        vec![
-            "parallel".to_string(),
-            fmt_sci(cmp.parallel.area_um2()),
-            fmt_sci(cmp.parallel.delay_ns()),
-            fmt_sci(cmp.parallel.energy_aj()),
-            cmp.parallel.transducers.to_string(),
-        ],
-        vec![
-            "scalar_x8".to_string(),
-            fmt_sci(cmp.scalar.area_um2()),
-            fmt_sci(cmp.scalar.delay_ns()),
-            fmt_sci(cmp.scalar.energy_aj()),
-            cmp.scalar.transducers.to_string(),
-        ],
-        vec![
-            "serialized".to_string(),
-            fmt_sci(cmp.serialized.area_um2()),
-            fmt_sci(cmp.serialized.delay_ns()),
-            fmt_sci(cmp.serialized.energy_aj()),
-            cmp.serialized.transducers.to_string(),
-        ],
-        vec![
-            "ratio_scalar_over_parallel".to_string(),
-            fmt_sci(cmp.area_ratio()),
-            fmt_sci(cmp.delay_ratio()),
-            fmt_sci(cmp.energy_ratio()),
-            String::new(),
-        ],
-    ];
-    let dir = results_dir();
+    let mut rows: Vec<Vec<String>> = [
+        ("parallel", cmp.parallel),
+        ("scalar_x8", cmp.scalar),
+        ("serialized", cmp.serialized),
+    ]
+    .iter()
+    .map(|(name, r)| {
+        let cells = [r.area_um2(), r.delay_ns(), r.energy_aj()].map(fmt_sci);
+        [name.to_string()]
+            .into_iter()
+            .chain(cells)
+            .chain([r.transducers.to_string()])
+            .collect()
+    })
+    .collect();
+    rows.push(vec![
+        "ratio_scalar_over_parallel".to_string(),
+        fmt_sci(cmp.area_ratio()),
+        fmt_sci(cmp.delay_ratio()),
+        fmt_sci(cmp.energy_ratio()),
+        String::new(),
+    ]);
     write_csv(
-        &dir.join("table_comparison.csv"),
+        "table_comparison.csv",
         &[
             "implementation",
             "area_um2",
@@ -70,21 +62,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         ],
         &rows,
     )?;
-    println!("\nwrote {}/table_comparison.csv", dir.display());
 
-    let ok = cmp.area_ratio() > 2.0
-        && (cmp.energy_ratio() - 1.0).abs() < 1e-9
-        && (cmp.delay_ratio() - 1.0).abs() < 0.3;
-    println!(
-        "TAB-AREA {}",
-        if ok {
-            "PASS: multi-x area reduction at delay/energy parity (paper shape preserved)"
-        } else {
-            "FAIL"
-        }
+    verdict(
+        "TAB-AREA",
+        report.passed(),
+        "multi-x area reduction at delay/energy parity (paper shape preserved)",
     );
-    if !ok {
-        std::process::exit(1);
-    }
     Ok(())
 }

@@ -7,14 +7,15 @@
 //! isolation measurement on a reduced 2-channel gate. Writes
 //! `results/width_sweep.csv`.
 //!
+//! The verdict is the analytic [`magnon_bench::claims::width`] report's.
+//!
 //! Usage: `cargo run --release -p magnon-bench --bin repro_width`
 //! (set `REPRO_FAST=1` to skip the micromagnetic isolation runs).
 
-use magnon_bench::{fast_mode, fmt_sci, results_dir, write_csv};
+use magnon_bench::claims::width;
+use magnon_bench::{fast_mode, fmt_sci, majority, verdict, write_csv};
 use magnon_core::crosstalk::CrosstalkReport;
-use magnon_core::gate::ParallelGateBuilder;
 use magnon_core::micromag_bridge::{MicromagValidator, ValidationSettings};
-use magnon_core::truth::LogicFunction;
 use magnon_core::word::Word;
 use magnon_math::constants::{GHZ, NM};
 use magnon_math::window::Window;
@@ -23,10 +24,7 @@ use magnon_physics::waveguide::Waveguide;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let base = Waveguide::paper_default()?;
-    let widths_nm = [
-        50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0, 500.0,
-    ];
+    let report = width(&Waveguide::paper_default()?)?;
     let micromag_widths = [50.0, 250.0, 500.0];
 
     println!(
@@ -38,31 +36,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let mut rows = Vec::new();
-    let mut last_fmr = f64::INFINITY;
-    let mut fmr_monotone = true;
-    let mut all_pass = true;
-
-    for &w in &widths_nm {
-        let guide = base.with_width(w * NM)?;
-        let nz = guide.demag_factor()?;
-        let fmr = guide.fmr_frequency()?;
-        fmr_monotone &= fmr < last_fmr;
-        last_fmr = fmr;
-        let disp = guide.exchange_dispersion()?;
-        let lambda1 = disp.wavelength(10.0 * GHZ)?;
-
-        // Analytic functionality check: byte-wide majority on this width.
-        let gate = ParallelGateBuilder::new(guide)
-            .channels(8)
-            .inputs(3)
-            .function(LogicFunction::Majority)
-            .build()?;
-        let verdict = gate.verify_truth_table()?;
-        all_pass &= verdict.all_passed();
-
-        // Micromagnetic isolation at selected widths (full mode only).
+    for r in &report.rows {
+        let w = (r.guide.width() / NM).round();
+        let nz = r.guide.demag_factor()?;
+        let lambda1 = r.guide.exchange_dispersion()?.wavelength(10.0 * GHZ)?;
+        // Micromagnetic isolation at selected widths (full mode only);
+        // informational, the verdict is the analytic report's.
         let isolation = if !fast_mode() && micromag_widths.contains(&w) {
-            Some(measure_isolation(&guide)?)
+            Some(measure_isolation(&r.guide)?)
         } else {
             None
         };
@@ -71,9 +52,9 @@ fn main() -> Result<(), Box<dyn Error>> {
             "{:>9.0} {:>8.4} {:>10.3} {:>12.1} {:>12} {:>14}",
             w,
             nz,
-            fmr / 1e9,
+            r.fmr / 1e9,
             lambda1 * 1e9,
-            if verdict.all_passed() { "PASS" } else { "FAIL" },
+            if r.truth_table { "PASS" } else { "FAIL" },
             isolation
                 .map(|db| format!("{db:.1}"))
                 .unwrap_or_else(|| "-".into()),
@@ -81,16 +62,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         rows.push(vec![
             format!("{w:.0}"),
             fmt_sci(nz),
-            fmt_sci(fmr),
+            fmt_sci(r.fmr),
             fmt_sci(lambda1),
-            verdict.all_passed().to_string(),
+            r.truth_table.to_string(),
             isolation.map(fmt_sci).unwrap_or_default(),
         ]);
     }
 
-    let dir = results_dir();
     write_csv(
-        &dir.join("width_sweep.csv"),
+        "width_sweep.csv",
         &[
             "width_nm",
             "nz",
@@ -101,29 +81,18 @@ fn main() -> Result<(), Box<dyn Error>> {
         ],
         &rows,
     )?;
-    println!("\nwrote {}/width_sweep.csv", dir.display());
-    println!(
-        "WIDTH {}",
-        if fmr_monotone && all_pass {
-            "PASS: FMR decreases monotonically with width; gate functional at every width"
-        } else {
-            "FAIL"
-        }
+    verdict(
+        "WIDTH",
+        report.passed(),
+        "FMR decreases monotonically with width; gate functional at every width",
     );
-    if !(fmr_monotone && all_pass) {
-        std::process::exit(1);
-    }
     Ok(())
 }
 
 /// Runs a reduced 2-channel majority gate micromagnetically and reports
 /// inter-channel isolation at the output detector.
 fn measure_isolation(guide: &Waveguide) -> Result<f64, Box<dyn Error>> {
-    let gate = ParallelGateBuilder::new(*guide)
-        .channels(2)
-        .inputs(3)
-        .function(LogicFunction::Majority)
-        .build()?;
+    let gate = majority(*guide, 2).build()?;
     let settings = ValidationSettings {
         duration: Some(2.5e-9),
         ..ValidationSettings::default()

@@ -1,78 +1,80 @@
-//! Shared harness for the experiment-reproduction binaries and the
-//! criterion benches.
+//! Shared harness for the experiment-reproduction binaries, and the
+//! paper's claims as reports ([`claims`]).
 //!
 //! Every table and figure of the paper has a `repro_*` binary here (see
-//! `src/bin/`) that prints the paper-style rows and writes CSV into
-//! `results/`:
+//! `src/bin/`) that prints the paper-style rows of its report, writes CSV
+//! into `results/` and exits non-zero when the claim fails.
+//! `tests/paper_claims.rs` asserts the same reports without writing
+//! anything:
 //!
-//! | Experiment | Binary | Paper artifact |
-//! |-----------|--------|----------------|
-//! | FIG3 | `repro_fig3` | Fig. 3 — detector spectrum + time response |
-//! | FIG4 | `repro_fig4` | Fig. 4 — per-channel output traces |
-//! | TAB-AREA | `repro_table_comparison` | §V.B area/delay/energy |
-//! | SCALE | `repro_scalability` | §V scalability discussion |
-//! | WIDTH | `repro_width` | §V waveguide width variation |
+//! | Experiment | Binary | Report | Paper artifact |
+//! |-----------|--------|--------|----------------|
+//! | FIG3 | `repro_fig3` | [`claims::micromag_majority_sweep`] | Fig. 3 — detector spectrum + time response |
+//! | FIG4 | `repro_fig4` | [`claims::micromag_majority_sweep`] | Fig. 4 — per-channel output traces |
+//! | TAB-AREA | `repro_table_comparison` | [`claims::table_comparison`] | §V.B area/delay/energy |
+//! | SCALE | `repro_scalability` | [`claims::scalability`] | §V scalability discussion |
+//! | WIDTH | `repro_width` | [`claims::width`] | §V waveguide width variation |
+//! | ABLATION | `repro_ablation` | [`claims::ablation`] | design choices (equalisation, noise, window) |
 //!
-//! Run with `REPRO_FAST=1` to shrink the micromagnetic workloads (fewer
-//! channels, shorter runs) for smoke testing.
+//! Run the binaries with `REPRO_FAST=1` to shrink the micromagnetic
+//! workloads (fewer channels, shorter runs) for smoke testing.
 
-use magnon_core::backend::OperandSet;
+pub mod claims;
+
 use magnon_core::gate::{ParallelGate, ParallelGateBuilder};
+use magnon_core::micromag_bridge::ValidationSettings;
 use magnon_core::truth::LogicFunction;
 use magnon_core::word::Word;
 use magnon_core::GateError;
 use magnon_physics::waveguide::Waveguide;
 use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Builds the paper's byte-wide 3-input majority gate (8 channels at
-/// 10–80 GHz on the 50 nm × 1 nm FeCoB waveguide).
+/// A 3-input majority gate with `channels` channels on `guide`, at
+/// 10, 20, … GHz unless the caller sets another plan.
+pub fn majority(guide: Waveguide, channels: usize) -> ParallelGateBuilder {
+    ParallelGateBuilder::new(guide)
+        .channels(channels)
+        .inputs(3)
+        .function(LogicFunction::Majority)
+}
+
+/// The 3-input majority gate with `channels` channels on the paper's
+/// 50 nm × 1 nm FeCoB waveguide (8 for the paper's byte-wide gate).
 ///
 /// # Errors
 ///
 /// Propagates gate construction errors.
-pub fn byte_majority_gate() -> Result<ParallelGate, GateError> {
-    let guide = Waveguide::paper_default()?;
-    ParallelGateBuilder::new(guide)
-        .channels(8)
-        .inputs(3)
-        .function(LogicFunction::Majority)
-        .build()
+pub fn paper_majority_gate(channels: usize) -> Result<ParallelGate, GateError> {
+    majority(Waveguide::paper_default()?, channels).build()
 }
 
-/// Builds a reduced gate for fast smoke runs (`REPRO_FAST=1`):
-/// 3 channels at 10/20/30 GHz.
-///
-/// # Errors
-///
-/// Propagates gate construction errors.
-pub fn fast_majority_gate() -> Result<ParallelGate, GateError> {
-    let guide = Waveguide::paper_default()?;
-    ParallelGateBuilder::new(guide)
-        .channels(3)
-        .inputs(3)
-        .function(LogicFunction::Majority)
-        .build()
+/// The micromagnetic settings of a `REPRO_FAST` run: 2 ns of simulated
+/// time instead of the transit-time default.
+pub fn fast_settings() -> ValidationSettings {
+    ValidationSettings {
+        duration: Some(2.0e-9),
+        ..ValidationSettings::default()
+    }
 }
 
-/// `true` when `REPRO_FAST` is set in the environment.
+/// `true` when `REPRO_FAST` is set (and not `0`) in the environment.
 pub fn fast_mode() -> bool {
-    std::env::var("REPRO_FAST")
-        .map(|v| v != "0")
-        .unwrap_or(false)
+    std::env::var("REPRO_FAST").is_ok_and(|v| v != "0")
 }
 
-/// The gate appropriate for the current mode.
+/// The micromagnetic experiment for the current mode: the byte-wide
+/// gate with default settings, or under `REPRO_FAST` a 3-channel gate
+/// with [`fast_settings`].
 ///
 /// # Errors
 ///
 /// Propagates gate construction errors.
-pub fn experiment_gate() -> Result<ParallelGate, GateError> {
+pub fn experiment() -> Result<(ParallelGate, ValidationSettings), GateError> {
     if fast_mode() {
-        fast_majority_gate()
+        Ok((paper_majority_gate(3)?, fast_settings()))
     } else {
-        byte_majority_gate()
+        Ok((paper_majority_gate(8)?, ValidationSettings::default()))
     }
 }
 
@@ -83,113 +85,45 @@ pub fn experiment_gate() -> Result<ParallelGate, GateError> {
 ///
 /// Propagates word construction errors.
 pub fn combo_words(combo: usize, input_count: usize, width: usize) -> Result<Vec<Word>, GateError> {
-    (0..input_count)
-        .map(|j| {
-            let bit = (combo >> j) & 1 == 1;
-            if bit {
-                Word::ones(width)
-            } else {
-                Word::zeros(width)
-            }
-        })
-        .collect()
+    let (zeros, ones) = (Word::zeros(width)?, Word::ones(width)?);
+    let bit = |j: usize| (combo >> j) & 1 == 1;
+    Ok((0..input_count)
+        .map(|j| if bit(j) { ones } else { zeros })
+        .collect())
 }
 
-/// Input words that put combination `(c mod 2^m)` on channel `c` — the
-/// batched truth-table layout (all combinations in one evaluation when
-/// `width = 2^m`).
-///
-/// # Errors
-///
-/// Propagates word construction errors.
-pub fn batched_combo_words(input_count: usize, width: usize) -> Result<Vec<Word>, GateError> {
-    let combos = 1usize << input_count;
-    let mut words = vec![Word::zeros(width)?; input_count];
-    for c in 0..width {
-        let combo = c % combos;
-        for (j, w) in words.iter_mut().enumerate() {
-            *w = w.with_bit(c, (combo >> j) & 1 == 1)?;
-        }
-    }
-    Ok(words)
-}
-
-/// One [`OperandSet`] per input combination, each applying its
-/// combination identically on every channel — the batch covering a
-/// gate's full truth table, ready for
-/// [`magnon_core::backend::GateSession::evaluate_batch`].
-///
-/// # Errors
-///
-/// Propagates word construction errors.
-pub fn combo_operand_sets(input_count: usize, width: usize) -> Result<Vec<OperandSet>, GateError> {
-    (0..1usize << input_count)
-        .map(|combo| Ok(OperandSet::new(combo_words(combo, input_count, width)?)))
-        .collect()
-}
-
-/// Deterministic pseudo-random operand sets for throughput runs.
-///
-/// # Errors
-///
-/// Propagates word construction errors.
-pub fn random_operand_sets(
-    gate: &ParallelGate,
-    count: usize,
-) -> Result<Vec<OperandSet>, GateError> {
-    let n = gate.word_width();
-    let m = gate.input_count();
-    let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    (0..count as u64)
-        .map(|i| {
-            let words = (0..m as u64)
-                .map(|j| {
-                    let bits = 0x9E37_79B9_7F4A_7C15u64
-                        .wrapping_mul(i + 1)
-                        .rotate_left(j as u32 * 11)
-                        & mask;
-                    Word::from_bits(bits, n)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(OperandSet::new(words))
-        })
-        .collect()
-}
-
-/// The `results/` directory (created on demand) next to the workspace
-/// root, or the current directory as a fallback.
-pub fn results_dir() -> PathBuf {
-    let candidates = [
-        Path::new("results"),
-        Path::new("../results"),
-        Path::new("../../results"),
-    ];
-    for c in candidates {
-        if c.parent()
-            .map(|p| p.as_os_str().is_empty() || p.exists())
-            .unwrap_or(true)
-        {
-            let _ = fs::create_dir_all(c);
-            if c.exists() {
-                return c.to_path_buf();
-            }
-        }
-    }
-    PathBuf::from(".")
-}
-
-/// Writes a CSV file with a header row.
+/// Writes `name` (a header row, then `rows`) into the workspace's
+/// `results/` directory, creating it on demand, and prints its path.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
-    let mut f = fs::File::create(path)?;
-    writeln!(f, "{}", header.join(","))?;
-    for row in rows {
-        writeln!(f, "{}", row.join(","))?;
-    }
+pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    fs::create_dir_all(&dir)?;
+    let path = dir.canonicalize()?.join(name);
+    fs::write(&path, csv_text(header, rows))?;
+    println!("wrote {}", path.display());
     Ok(())
+}
+
+/// Prints the `label`ed verdict on `claim` and exits with status 1 when
+/// it failed.
+pub fn verdict(label: &str, passed: bool, claim: &str) {
+    if passed {
+        println!("{label} PASS: {claim}");
+    } else {
+        println!("{label} FAIL");
+        std::process::exit(1);
+    }
+}
+
+/// The CSV text of a header row and data rows, one line each.
+pub fn csv_text(header: &[&str], rows: &[Vec<String>]) -> String {
+    std::iter::once(header.join(","))
+        .chain(rows.iter().map(|row| row.join(",")))
+        .map(|line| line + "\n")
+        .collect()
 }
 
 /// Formats a floating-point value for CSV output.
@@ -203,7 +137,7 @@ mod tests {
 
     #[test]
     fn byte_gate_builds() {
-        let gate = byte_majority_gate().unwrap();
+        let gate = paper_majority_gate(8).unwrap();
         assert_eq!(gate.word_width(), 8);
         assert_eq!(gate.input_count(), 3);
     }
@@ -218,22 +152,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_words_cover_all_combos() {
-        let words = batched_combo_words(3, 8).unwrap();
-        // Channel c carries combo c: reconstruct and check.
-        for c in 0..8 {
-            let combo = (0..3).fold(0usize, |acc, j| {
-                acc | ((words[j].bit(c).unwrap() as usize) << j)
-            });
-            assert_eq!(combo, c);
-        }
-    }
-
-    #[test]
     fn batched_evaluation_matches_per_combo() {
-        let gate = fast_majority_gate().unwrap();
+        let gate = paper_majority_gate(3).unwrap();
         let n = gate.word_width();
-        let batched = batched_combo_words(3, n).unwrap();
+        // Channel c carries combination c mod 8.
+        let mut batched = vec![Word::zeros(n).unwrap(); 3];
+        for c in 0..n {
+            for (j, w) in batched.iter_mut().enumerate() {
+                *w = w.with_bit(c, ((c % 8) >> j) & 1 == 1).unwrap();
+            }
+        }
         let out = gate.evaluate(&batched).unwrap();
         for c in 0..n {
             let combo = c % 8;
@@ -244,12 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("magnon_bench_test.csv");
-        write_csv(&path, &["a", "b"], &[vec!["1".into(), "2".into()]]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("a,b\n1,2"));
-        let _ = std::fs::remove_file(path);
+    fn csv_text_is_header_then_rows() {
+        let text = csv_text(&["a", "b"], &[vec!["1".into(), "2".into()]]);
+        assert_eq!(text, "a,b\n1,2\n");
     }
 }

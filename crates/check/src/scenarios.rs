@@ -159,7 +159,6 @@ pub fn serve_exactly_once() {
     let stats = scheduler.stats();
     assert_eq!(stats.submitted, 4);
     assert_eq!(stats.completed, 4, "every ticket completes exactly once");
-    assert_eq!(stats.failed, 0);
     // All completions redeemed ⇒ every drain's decrement has landed ⇒
     // the gauge is exactly zero before shutdown.
     for shard in 0..2 {

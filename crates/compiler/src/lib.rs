@@ -78,7 +78,7 @@ pub struct CompilerConfig {
     /// Most physical waveguides the placer may claim.
     pub max_waveguides: usize,
     /// Most FDM lanes the placer may stack on one waveguide (the
-    /// isolation criterion below may stop it earlier).
+    /// isolation threshold below may stop it earlier).
     pub max_lanes_per_waveguide: u16,
     /// Minimum inter-lane isolation (dB, Lorentzian leakage model) a
     /// stacked lane set must keep to be accepted — the crosstalk side

@@ -90,8 +90,8 @@ impl CrosstalkReport {
         })
     }
 
-    /// `true` when isolation exceeds `min_db` — the pass criterion used
-    /// by the FIG3 and WIDTH experiments.
+    /// `true` when isolation reaches `min_db` — the pass test the
+    /// compiler's FDM placement applies.
     pub fn is_clean(&self, min_db: f64) -> bool {
         self.isolation_db >= min_db
     }
@@ -200,7 +200,7 @@ impl LaneIsolationReport {
     }
 
     /// `true` when no bands overlap and the worst leakage stays under
-    /// `min_db` of isolation — the criterion FDM lane assignments are
+    /// `min_db` of isolation — the bar FDM lane assignments are
     /// validated against.
     pub fn is_clean(&self, min_db: f64) -> bool {
         self.overlapping_pairs == 0 && self.isolation_db >= min_db

@@ -11,7 +11,8 @@ use std::fmt;
 pub enum WireErrorCode {
     /// The submitted gate index was never registered.
     UnknownGate = 1,
-    /// The evaluation itself failed (operand shape, backend error).
+    /// The scheduler refused the request's operands (wrong count or
+    /// word width).
     Gate = 2,
     /// The server's completion deadline elapsed (the writer pump never
     /// blocks forever on a lost completion).

@@ -672,15 +672,7 @@ fn writer_pump(
                         word: output.word(),
                     }
                 }
-                Err(ServeError::Gate(e)) => {
-                    // ordering: Relaxed — monotonic stat counter.
-                    stats.request_errors.fetch_add(1, Ordering::Relaxed);
-                    Frame::Error {
-                        tag: entry.tag,
-                        code: WireErrorCode::Gate,
-                        message: e.to_string(),
-                    }
-                }
+                // A ticket's only error: its worker went away.
                 Err(_) => {
                     // ordering: Relaxed — monotonic stat counter.
                     stats.request_errors.fetch_add(1, Ordering::Relaxed);

@@ -5,7 +5,6 @@ use magnon_core::backend::{OperandSet, RequestTag};
 use magnon_core::gate::GateOutput;
 use magnon_core::sync::atomic::{AtomicU64, Ordering};
 use magnon_core::sync::mpsc;
-use magnon_core::GateError;
 
 /// Handle to a gate registered with a [`crate::Scheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,7 +27,7 @@ pub(crate) struct EvalJob {
     pub set: OperandSet,
     /// One-slot completion channel back to the submitting [`Ticket`]
     /// (the worker answers with `try_send`, so it never blocks here).
-    pub reply: mpsc::SyncSender<(RequestTag, Result<GateOutput, GateError>)>,
+    pub reply: mpsc::SyncSender<(RequestTag, GateOutput)>,
 }
 
 /// A pending evaluation: redeem with [`Ticket::wait`].
@@ -39,7 +38,7 @@ pub(crate) struct EvalJob {
 #[derive(Debug)]
 pub struct Ticket {
     pub(crate) tag: RequestTag,
-    pub(crate) rx: mpsc::Receiver<(RequestTag, Result<GateOutput, GateError>)>,
+    pub(crate) rx: mpsc::Receiver<(RequestTag, GateOutput)>,
 }
 
 impl Ticket {
@@ -48,18 +47,18 @@ impl Ticket {
         self.tag
     }
 
-    /// Blocks until the evaluation completes.
+    /// Blocks until the evaluation completes. `submit` has already
+    /// checked the operand shapes, so a served request cannot fail.
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Gate`] when the evaluation itself failed.
-    /// * [`ServeError::Shutdown`] when the owning worker went away
-    ///   before answering.
+    /// [`ServeError::Shutdown`] when the owning worker went away before
+    /// answering.
     pub fn wait(self) -> Result<GateOutput, ServeError> {
         match self.rx.recv() {
-            Ok((tag, result)) => {
+            Ok((tag, output)) => {
                 debug_assert_eq!(tag, self.tag, "completion routed to the wrong ticket");
-                result.map_err(ServeError::Gate)
+                Ok(output)
             }
             Err(mpsc::RecvError) => Err(ServeError::Shutdown),
         }
@@ -77,12 +76,12 @@ impl Ticket {
     /// # Errors
     ///
     /// * [`ServeError::Timeout`] when `timeout` elapses first.
-    /// * The conditions of [`Ticket::wait`].
+    /// * The condition of [`Ticket::wait`].
     pub fn wait_timeout(&self, timeout: std::time::Duration) -> Result<GateOutput, ServeError> {
         match self.rx.recv_timeout(timeout) {
-            Ok((tag, result)) => {
+            Ok((tag, output)) => {
                 debug_assert_eq!(tag, self.tag, "completion routed to the wrong ticket");
-                result.map_err(ServeError::Gate)
+                Ok(output)
             }
             Err(mpsc::RecvTimeoutError::Timeout) => Err(ServeError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServeError::Shutdown),
@@ -97,12 +96,12 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// The conditions of [`Ticket::wait`].
+    /// The condition of [`Ticket::wait`].
     pub fn try_wait(&self) -> Result<Option<GateOutput>, ServeError> {
         match self.rx.try_recv() {
-            Ok((tag, result)) => {
+            Ok((tag, output)) => {
                 debug_assert_eq!(tag, self.tag, "completion routed to the wrong ticket");
-                result.map(Some).map_err(ServeError::Gate)
+                Ok(Some(output))
             }
             Err(mpsc::TryRecvError::Empty) => Ok(None),
             Err(mpsc::TryRecvError::Disconnected) => Err(ServeError::Shutdown),
@@ -115,7 +114,6 @@ impl Ticket {
 pub(crate) struct SharedStats {
     pub submitted: AtomicU64,
     pub completed: AtomicU64,
-    pub failed: AtomicU64,
     pub drain_passes: AtomicU64,
     pub batches: AtomicU64,
     pub coalesced_requests: AtomicU64,
@@ -165,7 +163,6 @@ impl SharedStats {
             // reader synchronizes through them.
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
             drain_passes: self.drain_passes.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             coalesced_requests: self.coalesced_requests.load(Ordering::Relaxed),
@@ -186,10 +183,8 @@ pub struct SchedulerStats {
     /// Requests accepted by [`crate::Scheduler::submit`] /
     /// [`crate::Scheduler::try_submit`].
     pub submitted: u64,
-    /// Requests answered successfully.
+    /// Requests answered.
     pub completed: u64,
-    /// Requests answered with an error.
-    pub failed: u64,
     /// Worker drain cycles (each serves everything queued at that
     /// moment, up to the batch cap).
     pub drain_passes: u64,
@@ -225,7 +220,7 @@ impl SchedulerStats {
         if self.drain_passes == 0 {
             0.0
         } else {
-            (self.completed + self.failed) as f64 / self.drain_passes as f64
+            self.completed as f64 / self.drain_passes as f64
         }
     }
 }
@@ -285,30 +280,14 @@ mod tests {
             Err(ServeError::Timeout)
         ));
         // The completion arrives late: the same ticket still redeems.
-        tx.send((7, Ok(output.clone()))).unwrap();
+        tx.send((7, output.clone())).unwrap();
         match ticket.try_wait() {
             Ok(Some(out)) => assert_eq!(out.word(), output.word()),
             other => panic!("expected the completion, got {other:?}"),
         }
 
-        // A gate error lands as ServeError::Gate through wait_timeout.
-        let (tx, rx) = mpsc::sync_channel(1);
-        let ticket = Ticket { tag: 8, rx };
-        tx.send((
-            8,
-            Err(GateError::InputCountMismatch {
-                expected: 3,
-                actual: 1,
-            }),
-        ))
-        .unwrap();
-        assert!(matches!(
-            ticket.wait_timeout(Duration::from_secs(1)),
-            Err(ServeError::Gate(_))
-        ));
-
         // A vanished worker is Shutdown on every path.
-        let (tx, rx) = mpsc::sync_channel::<(RequestTag, Result<GateOutput, GateError>)>(1);
+        let (tx, rx) = mpsc::sync_channel::<(RequestTag, GateOutput)>(1);
         let ticket = Ticket { tag: 9, rx };
         drop(tx);
         assert!(matches!(ticket.try_wait(), Err(ServeError::Shutdown)));

@@ -169,7 +169,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.drain_passes,
         stats.mean_drain(),
     );
-    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.completed, stats.submitted);
     assert!(
         adder_peak >= 2 && logic_peak >= 2,
         "pipelined submission must keep multiple requests in flight"

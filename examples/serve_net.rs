@@ -200,8 +200,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scheduler = Arc::try_unwrap(scheduler).expect("all client handles released");
     let report = scheduler.shutdown()?;
     println!(
-        "shutdown: {} requests served end-to-end, {} failed",
-        report.stats.completed, report.stats.failed
+        "shutdown: {} of {} requests served end-to-end",
+        report.stats.completed, report.stats.submitted
     );
     assert_eq!(report.stats.completed, net_stats.responses);
     Ok(())
