@@ -17,7 +17,7 @@
 //! scheduler request the moment its operands complete.
 
 use magnon_core::backend::{BackendChoice, GateSession, OperandSet};
-use magnon_core::gate::{GateOutput, ParallelGateBuilder};
+use magnon_core::gate::ParallelGateBuilder;
 use magnon_core::truth::LogicFunction;
 use magnon_core::word::Word;
 use magnon_core::GateError;
@@ -346,17 +346,14 @@ impl GateBank {
         Ok(self.xor2.as_mut().expect("just built"))
     }
 
-    /// Evaluates `batch` on the session of `shape`, preserving order.
-    fn dispatch(
-        &mut self,
-        shape: GateShape,
-        batch: &[OperandSet],
-    ) -> Result<Vec<GateOutput>, GateError> {
+    /// Evaluates `batch` on the session of `shape` through its
+    /// logic-only path, preserving order.
+    fn dispatch(&mut self, shape: GateShape, batch: &[OperandSet]) -> Result<Vec<Word>, GateError> {
         let session = match shape {
             GateShape::Maj3 => self.maj3_session()?,
             GateShape::Xor2 => self.xor2_session()?,
         };
-        session.evaluate_batch(batch)
+        session.evaluate_batch_logic(batch)
     }
 }
 
@@ -670,13 +667,7 @@ impl Circuit {
                 actual: bank.width(),
             });
         }
-        self.run_engine(sets, |shape, batch| {
-            Ok(bank
-                .dispatch(shape, batch)?
-                .into_iter()
-                .map(|out| out.word())
-                .collect())
-        })
+        self.run_engine(sets, |shape, batch| bank.dispatch(shape, batch))
     }
 
     /// The one circuit-walk engine every `evaluate_*` entry point
@@ -998,13 +989,13 @@ mod tests {
             Word::from_u8(0x55),
         ])];
         let outs = bank.dispatch(GateShape::Maj3, &batch).unwrap();
-        assert_eq!(outs[0].word().to_u8(), 0x17);
+        assert_eq!(outs[0].to_u8(), 0x17);
         let batch = vec![OperandSet::new(vec![
             Word::from_u8(0xF0),
             Word::from_u8(0xAA),
         ])];
         let outs = bank.dispatch(GateShape::Xor2, &batch).unwrap();
-        assert_eq!(outs[0].word().to_u8(), 0x5A);
+        assert_eq!(outs[0].to_u8(), 0x5A);
         assert_eq!(GateShape::Maj3.function(), LogicFunction::Majority);
         assert_eq!(GateShape::Xor2.input_count(), 2);
     }

@@ -84,7 +84,6 @@
 //! ```
 
 pub mod backend;
-pub mod bitslice;
 pub mod cascade;
 pub mod channel;
 pub mod crosstalk;

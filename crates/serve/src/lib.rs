@@ -14,11 +14,12 @@
 //!   time, so gates sharing a waveguide batch *across gates* in a
 //!   single drain cycle, and the frequency lanes of one waveguide stack
 //!   into one multi-lane FDM pass;
-//! * **one truth table per gate** — [`SchedulerBuilder::build`] builds
-//!   each registered gate's `n · 2^m`
-//!   [`magnon_core::backend::GateTable`] once and shares it with every
-//!   worker; [`Scheduler::submit`] checks operand shapes, so a drain
-//!   answers every request it holds;
+//! * **one truth table per gate** — [`SchedulerBuilder::build`] folds
+//!   each registered gate's `n · 2^m` channel readouts into a
+//!   [`magnon_core::backend::GateTable`] of channel masks once and
+//!   shares it with every worker; [`Scheduler::submit`] checks operand
+//!   shapes, so a drain answers every request it holds, each with one
+//!   sum of products over its own operand words;
 //! * **lock-free [`telemetry`]** — per-shard queue and drain gauges and
 //!   per-lane served counters, read as one snapshot;
 //! * [`CircuitExecutor`] — the one way to serve a whole circuit: it

@@ -244,10 +244,19 @@ impl<'a> CircuitExecutor<'a> {
             // Submit everything ready. Non-blocking while completions
             // are pending (a full queue just defers to the harvest
             // phase); blocking when nothing is in flight, as
-            // backpressure then cannot deadlock us.
-            while let Some(&(set, node)) = state.ready.front() {
-                let operands = self.operands_of(&state, set, node);
-                let id = self.gate_for(node);
+            // backpressure then cannot deadlock us. The burst's
+            // operands are gathered before the first submission, so
+            // its requests land back to back and a worker woken by the
+            // first finds more of the burst queued behind it.
+            let burst: Vec<_> = state
+                .ready
+                .iter()
+                .map(|&(set, node)| {
+                    let operands = self.operands_of(&state, set, node);
+                    (set, node, self.gate_for(node), operands)
+                })
+                .collect();
+            for (set, node, id, operands) in burst {
                 let ticket = if in_flight.is_empty() {
                     Some(self.scheduler.submit(id, operands)?)
                 } else {

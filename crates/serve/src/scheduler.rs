@@ -21,24 +21,25 @@
 //!
 //! A worker drains its queue in cycles: it blocks on the first request,
 //! sweeps whatever is already queued (up to the batch cap), groups what
-//! it got, and answers each group with one pass of the bit-sliced
-//! kernel ([`GateTable::sliced_words`]). With the default zero
-//! [`ServeConfig::linger`] there is no timed wait: a lone request is
-//! served on arrival, and a backlog that built up while the worker was
-//! busy forms the next batch. Because routing is by [`WaveguideId`], a
-//! drain cycle naturally coalesces requests across *different* gates
-//! sharing a waveguide — the cross-gate data parallelism of the
-//! companion paper (arXiv:2008.12220) — while requests for the same
-//! gate ride one batch, the in-waveguide parallelism of the source
-//! paper.
+//! it got, and answers each request of a group from its own operand
+//! words with the gate's table kernel ([`GateTable::word`]). With the
+//! default zero [`ServeConfig::linger`] there is no timed wait: a lone
+//! request is served on arrival, and a backlog that built up while the
+//! worker was busy forms the next batch. Because routing is by
+//! [`WaveguideId`], a drain cycle naturally coalesces requests across
+//! *different* gates sharing a waveguide — the cross-gate data
+//! parallelism of the companion paper (arXiv:2008.12220) — while
+//! requests for the same gate ride one batch, the in-waveguide
+//! parallelism of the source paper.
 //!
 //! # Truth tables
 //!
 //! In the paper's gate each frequency channel decodes only the `m`
 //! input bits it carries, so a served gate is fully described by its
-//! `n · 2^m` [`GateTable`]. [`SchedulerBuilder::build`] builds one per
-//! registered gate, from the analytic device model and the gate's own
-//! frequency plan, and shares them read-only with every worker.
+//! `n · 2^m` channel readouts, which a [`GateTable`] holds as `2^m`
+//! channel masks. [`SchedulerBuilder::build`] builds one per registered
+//! gate, from the analytic device model and the gate's own frequency
+//! plan, and shares them read-only with every worker.
 //! [`Scheduler::submit`] checks each set's operand count and width
 //! against the gate, so a table lookup in the drain cannot fail.
 //!
@@ -70,7 +71,7 @@ use crate::error::ServeError;
 use crate::request::{EvalJob, GateId, SchedulerStats, SharedStats, Ticket};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use magnon_circuits::netlist::{fdm_lane_base, packed_frequency_step};
-use magnon_core::backend::{BackendChoice, GateTable, OperandSet, RequestTag, MAX_TABLE_ENTRIES};
+use magnon_core::backend::{BackendChoice, GateTable, OperandSet, MAX_TABLE_ENTRIES};
 use magnon_core::gate::{GateOutput, LaneId, ParallelGate, ParallelGateBuilder, WaveguideId};
 use magnon_core::sync::atomic::{AtomicU64, Ordering};
 use magnon_core::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -479,21 +480,7 @@ struct DrainScratch {
     lanes: Vec<(u16, usize, usize)>,
     /// Groups elected into one stacked FDM pass.
     stacked: Vec<Vec<EvalJob>>,
-    /// Per-batch staging shared by the serve paths.
-    stage: GroupStage,
 }
-
-/// Per-batch staging reused by [`Worker::serve_group`]: operand sets
-/// and reply routes move out of the jobs into these buffers, which
-/// keep their capacity from batch to batch.
-#[derive(Default)]
-struct GroupStage {
-    sets: Vec<OperandSet>,
-    replies: Vec<(RequestTag, ReplySender)>,
-}
-
-/// The one-slot completion channel carried by every [`EvalJob`].
-type ReplySender = SyncSender<(RequestTag, GateOutput)>;
 
 /// One worker shard: a bounded queue over the shared gate tables.
 struct Worker {
@@ -664,7 +651,7 @@ impl Worker {
                     scratch.stacked.push(group);
                 } else {
                     batches += 1;
-                    let spent = self.serve_group(group, &mut scratch.stage);
+                    let spent = self.serve_group(group);
                     // analyze: allow(can-alloc) — amortized: the pool
                     // grows to the drain's high-water group count.
                     scratch.pool.push(spent);
@@ -676,7 +663,6 @@ impl Worker {
                     &mut scratch.stacked,
                     &mut scratch.pool,
                     scratch.lanes.len() as u64,
-                    &mut scratch.stage,
                 );
             }
             start = end;
@@ -691,29 +677,24 @@ impl Worker {
     /// frequency lane, each answered from its own gate's table — the
     /// companion paper's multi-frequency parallelism as a drain-path
     /// operation.
-    fn serve_fdm(
-        &self,
-        stacked: &mut Vec<Vec<EvalJob>>,
-        pool: &mut Vec<Vec<EvalJob>>,
-        lanes: u64,
-        stage: &mut GroupStage,
-    ) {
+    fn serve_fdm(&self, stacked: &mut Vec<Vec<EvalJob>>, pool: &mut Vec<Vec<EvalJob>>, lanes: u64) {
         // Recorded before any reply goes out, so a client that sees
         // its completion also sees the pass.
         let requests = stacked.iter().map(Vec::len).sum::<usize>() as u64;
         self.stats.record_fdm_pass(lanes, requests);
         for group in stacked.drain(..) {
-            let spent = self.serve_group(group, stage);
+            let spent = self.serve_group(group);
             // analyze: allow(can-alloc) — amortized: the pool grows to
             // the drain's high-water group count.
             pool.push(spent);
         }
     }
 
-    /// Serves one group (every job targets the same gate) with one
-    /// kernel pass over that gate's table. Returns the emptied job
-    /// vector so the caller can pool it for the next drain.
-    fn serve_group(&self, mut group: Vec<EvalJob>, stage: &mut GroupStage) -> Vec<EvalJob> {
+    /// Serves one group (every job targets the same gate): each job is
+    /// answered from its own operand words by the gate's table kernel.
+    /// Returns the emptied job vector so the caller can pool it for the
+    /// next drain.
+    fn serve_group(&self, mut group: Vec<EvalJob>) -> Vec<EvalJob> {
         let Some(gate) = group.first().and_then(|job| self.gates.get(job.gate)) else {
             // Empty, or unreachable behind `serve_drain`'s index
             // assert: dropped jobs answer their tickets with
@@ -721,30 +702,17 @@ impl Worker {
             group.clear();
             return group;
         };
-        // Move the operand sets out of the jobs — the batch path must
-        // not copy request payloads. The staging buffers keep their
-        // capacity from batch to batch (see `GroupStage`).
-        stage.sets.clear();
-        stage.replies.clear();
-        for job in group.drain(..) {
-            // analyze: allow(can-alloc) — amortized: staging retains
-            // capacity across batches (see `GroupStage`).
-            stage.sets.push(job.set);
-            // analyze: allow(can-alloc) — amortized (staging, as above)
-            stage.replies.push((job.tag, job.reply));
-        }
-        let words = gate.table.sliced_words(&stage.sets);
         // Accounted before the replies: a client that sees its
         // completion also sees it served on its lane.
         self.telemetry
-            .record_lane_served(gate.lane_slot, stage.replies.len() as u64);
-        for ((tag, reply), word) in stage.replies.drain(..).zip(words) {
+            .record_lane_served(gate.lane_slot, group.len() as u64);
+        for job in group.drain(..) {
+            let word = gate.table.word(job.set.words());
             // ordering: Relaxed — monotonic stat counter; the reply
             // channel orders the result delivery.
             self.stats.completed.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.try_send((tag, GateOutput::logic_only(word)));
+            let _ = job.reply.try_send((job.tag, GateOutput::logic_only(word)));
         }
-        stage.sets.clear();
         group
     }
 }

@@ -1,12 +1,10 @@
-//! Bit-sliced batch kernel smoke: full and ragged batches through the
-//! word-parallel truth-table path, checked against the analytic engine
-//! set-for-set.
+//! Truth-table kernel smoke: a batch and a lone set through the
+//! channel-mask kernel, checked against the analytic engine set-for-set.
 //!
-//! A `Cached` session builds the byte majority's whole truth table
-//! (8 channels × 2^3 combinations) when it opens, then answers a
-//! 256-set batch with pure table lane ops; a 199-set batch exercises
-//! the ragged final block (199 % 64 = 7 lanes). Any word mismatch
-//! panics:
+//! A `Cached` session folds the byte majority's whole truth table
+//! (8 channels × 2^3 combinations) into channel masks when it opens,
+//! then answers every set with one sum of products over its own operand
+//! words: a 256-set batch, then a single set. Any word mismatch panics:
 //!
 //! ```text
 //! cargo run --release --example sliced_batch
@@ -29,10 +27,10 @@ fn batch(len: usize) -> Vec<OperandSet> {
 }
 
 fn check(label: &str, session: &mut GateSession, gate: &ParallelGate, sets: &[OperandSet]) {
-    let words = session.evaluate_batch_logic(sets).expect("sliced batch");
+    let words = session.evaluate_batch_logic(sets).expect("kernel batch");
     for (set, word) in sets.iter().zip(&words) {
         let reference = gate.evaluate(set.words()).expect("analytic").word();
-        assert_eq!(*word, reference, "{label}: sliced output diverged");
+        assert_eq!(*word, reference, "{label}: kernel output diverged");
     }
     println!("{label:>8}: {} sets ok", sets.len());
 }
@@ -49,10 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut session = gate.session(BackendChoice::Cached)?;
-    check("full", &mut session, &gate, &batch(256));
-    // Ragged tail: the final block carries 7 live lanes of 64.
-    check("ragged", &mut session, &gate, &batch(199));
+    check("batch", &mut session, &gate, &batch(256));
+    check("lone", &mut session, &gate, &batch(1));
 
-    println!("sliced batch kernel smoke passed");
+    println!("truth-table kernel smoke passed");
     Ok(())
 }

@@ -66,8 +66,8 @@
 //! through the chosen [`core::backend::SpinWaveBackend`] —
 //!
 //! * [`BackendChoice::Analytic`] — exact wave superposition,
-//! * [`BackendChoice::Cached`] — the gate's per-channel truth table,
-//!   built once, answered by a bit-sliced kernel,
+//! * [`BackendChoice::Cached`] — the gate's truth table as channel
+//!   masks, built once, answering each set with one sum of products,
 //! * [`BackendChoice::Micromag`] — the full LLG simulator behind the
 //!   same interface (the paper's OOMMF methodology).
 //!

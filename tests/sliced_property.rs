@@ -1,8 +1,8 @@
-//! Equivalence tests for the bit-sliced truth-table kernel: the
-//! word-parallel sliced path must agree bit-for-bit with per-set table
-//! gathers and with the analytic superposition engine on randomized
-//! batches (including ragged tails), and the scheduler's logic-only
-//! drain must stay output-equivalent over two shards.
+//! Equivalence tests for the truth-table kernel: the channel-mask sum
+//! of products (logic-only batches) must agree bit-for-bit with full
+//! outputs and with the analytic superposition engine on randomized
+//! batches, and the scheduler's logic-only drain must stay
+//! output-equivalent over two shards.
 
 use proptest::prelude::*;
 use spinwave_parallel::core::backend::{BackendChoice, OperandSet};
@@ -17,6 +17,27 @@ fn build_gate(width: usize, inputs: usize, function: LogicFunction) -> ParallelG
         .channels(width)
         .inputs(inputs)
         .function(function)
+        .build()
+        .unwrap()
+}
+
+/// A MAJ-3 gate whose channels mix direct and inverted readouts, so its
+/// channel masks differ from channel to channel.
+fn mixed_readout_majority(width: usize) -> ParallelGate {
+    let modes = (0..width)
+        .map(|c| {
+            if c % 3 == 1 {
+                ReadoutMode::Inverted
+            } else {
+                ReadoutMode::Direct
+            }
+        })
+        .collect();
+    ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
+        .channels(width)
+        .inputs(3)
+        .function(LogicFunction::Majority)
+        .readout_per_channel(modes)
         .build()
         .unwrap()
 }
@@ -52,23 +73,21 @@ fn lane_mask_bits(width: usize) -> u64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sliced ≡ table gather ≡ analytic on randomized batches.
+    /// Kernel ≡ full outputs ≡ analytic on randomized batches.
     ///
     /// Three evaluations of the same batch must agree word-for-word:
-    /// the bit-sliced kernel (`evaluate_batch_logic`), the per-set
-    /// readout gather of full outputs (`evaluate_batch`), and the
-    /// analytic engine. Batch lengths are drawn so that `len % 64 != 0`
-    /// is common — the ragged final block is exercised, not just full
-    /// 64-lane blocks — and the designs cover both kernel strategies
-    /// (sum-of-products and gather are chosen by input count).
+    /// the table kernel (`evaluate_batch_logic`), the cached backend's
+    /// full outputs (`evaluate_batch`), and the analytic engine. The
+    /// designs cover 2 to 7 inputs, and the last one mixes direct and
+    /// inverted readouts so its channel masks differ by channel.
     #[test]
     fn sliced_matches_scalar_and_analytic(
         seed in 0u64..u64::MAX,
         len in 1usize..200,
         width_sel in 0usize..3,
-        design_sel in 0usize..4,
+        design_sel in 0usize..5,
     ) {
         let width = [8, 16, 32][width_sel];
         let (inputs, function) = [
@@ -76,8 +95,13 @@ proptest! {
             (5, LogicFunction::Majority),
             (7, LogicFunction::Majority),
             (2, LogicFunction::Xor),
+            (3, LogicFunction::Majority),
         ][design_sel];
-        let gate = build_gate(width, inputs, function);
+        let gate = if design_sel == 4 {
+            mixed_readout_majority(width)
+        } else {
+            build_gate(width, inputs, function)
+        };
         let batch = batch_from_seed(seed, len, width, inputs);
 
         let mut analytic = gate.session(BackendChoice::Analytic).unwrap();
